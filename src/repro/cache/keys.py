@@ -218,12 +218,20 @@ def shard_key(
     )
 
 
+#: The request seam every kind runs through: normalization, dispatch,
+#: payload assembly, and the canonical-JSON round trip that fixes the
+#: stored bytes.
+_SEAM_PREFIXES: Tuple[str, ...] = ("repro.engine", "repro.cache.keys")
+
 #: Module prefixes whose source a kind's results flow through. Generous
 #: on purpose: an over-wide fingerprint only costs invalidation (a cold
 #: recompute after an unrelated edit); an under-wide one serves stale
 #: results after a behavior change, which is a correctness bug.
+#: ``tests/cache/test_fingerprint_coverage.py`` runs every kind under a
+#: profiler and fails if code outside its entry executes.
 FINGERPRINT_PREFIXES: Dict[str, Tuple[str, ...]] = {
-    "run": (
+    "run": _SEAM_PREFIXES
+    + (
         "repro.core",
         "repro.algorithms",
         "repro.instances",
@@ -232,33 +240,45 @@ FINGERPRINT_PREFIXES: Dict[str, Tuple[str, ...]] = {
         "repro.costs",
         "repro.graphs",
     ),
-    "exhaustive": (
+    "exhaustive": _SEAM_PREFIXES
+    + (
         "repro.lowerbounds",
         "repro.parallel",
         "repro.instances",
         "repro.crossing",
         "repro.indist",
         "repro.core",
+        "repro.kernels",
+        "repro.graphs",
         "repro.obs.sketches",
     ),
-    "sampling": (
+    "sampling": _SEAM_PREFIXES
+    + (
         "repro.information",
         "repro.twoparty",
         "repro.partitions",
+        "repro.kernels",
+        "repro.algorithms.bit_codec",
+        "repro.graphs",
         "repro.parallel",
         "repro.obs.sketches",
     ),
-    "ranks": (
+    "ranks": _SEAM_PREFIXES
+    + (
         "repro.partitions",
         "repro.kernels",
+        "repro.graphs",
         "repro.parallel",
     ),
-    "fault-sweep": (
+    "fault-sweep": _SEAM_PREFIXES
+    + (
         "repro.resilience",
         "repro.core",
         "repro.algorithms",
         "repro.instances",
         "repro.graphs",
+        "repro.net",
+        "repro.costs",
         "repro.parallel",
         "repro.obs.sketches",
     ),

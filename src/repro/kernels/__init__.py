@@ -23,6 +23,11 @@ generalizes that pattern to the paper's hot paths:
   crossing pairs (Definition 3.2/3.6) for the indistinguishability
   graph builder, scoring all candidate pairs of a cover in one numpy
   block.
+* :mod:`repro.kernels.join_batch` -- batched join-to-top rows of the
+  partition matrices M_n / E_n: one block of row partitions against
+  every column partition in a few numpy passes instead of one Python
+  union-find per cell; both matrix pipelines (dense and streamed) build
+  their rows with it.
 
 Every consumer that picks up a kernel takes a ``kernel`` argument (also
 exposed as ``--kernel`` on the relevant CLI subcommands) with these
@@ -76,7 +81,13 @@ from repro.kernels.gf2 import (
     rank_gf2_m4ri,
     rank_gf2_packed,
 )
-from repro.kernels.modp import HAVE_NUMPY, batched_modp_supported, rank_mod_p_batched
+from repro.kernels.join_batch import join_to_top_matrix, join_to_top_supports
+from repro.kernels.modp import (
+    HAVE_NUMPY,
+    batched_modp_supported,
+    lazy_reduction_safe,
+    rank_mod_p_batched,
+)
 from repro.kernels.sparse import (
     SPARSE_DENSITY_CUTOFF,
     SPARSE_MIN_CELLS,
@@ -95,7 +106,10 @@ __all__ = [
     "batched_modp_supported",
     "compile_bipartite",
     "hopcroft_karp_bitset",
+    "join_to_top_matrix",
+    "join_to_top_supports",
     "k_matching_bitset",
+    "lazy_reduction_safe",
     "matrix_density",
     "pack_rows",
     "rank_gf2",

@@ -51,7 +51,10 @@ from repro.partitions.linalg import (
     is_full_rank,
     rank_exact,
 )
-from repro.partitions.set_partition import SetPartition, joins_to_top
+from repro.kernels import join_to_top_matrix, join_to_top_supports
+# joins_to_top stays importable here: perfbench/tracer.py wraps
+# ``matrices.joins_to_top`` to count per-cell joins.
+from repro.partitions.set_partition import SetPartition, joins_to_top  # noqa: F401
 
 if TYPE_CHECKING:
     from repro.resilience.budget import Budget
@@ -139,11 +142,13 @@ def _family_table(family: str, n: int) -> Tuple[SetPartition, ...]:
 # ----------------------------------------------------------------------
 
 def partition_matrix(partitions: Sequence[SetPartition]) -> List[List[int]]:
-    """The 0/1 join-to-top matrix over an arbitrary partition family."""
-    return [
-        [1 if joins_to_top(pa, pb) else 0 for pb in partitions]
-        for pa in partitions
-    ]
+    """The 0/1 join-to-top matrix over an arbitrary partition family.
+
+    Cell (i, j) is ``joins_to_top(partitions[i], partitions[j])``,
+    answered a block of rows at a time by
+    :func:`repro.kernels.join_to_top_matrix`.
+    """
+    return join_to_top_matrix(partitions, partitions)
 
 
 def build_m_matrix(n: int) -> Tuple[List[SetPartition], List[List[int]]]:
@@ -173,13 +178,7 @@ def _stream_block_worker(payload: tuple) -> List[Tuple[int, ...]]:
     """
     n, family, start, stop = payload
     table = _family_table(family, n)
-    rows: List[Tuple[int, ...]] = []
-    for i in range(start, stop):
-        pa = table[i]
-        rows.append(
-            tuple(j for j, pb in enumerate(table) if joins_to_top(pa, pb))
-        )
-    return rows
+    return join_to_top_supports(table[start:stop], table)
 
 
 def stream_matrix_rows(

@@ -209,9 +209,10 @@ def joins_to_top(pa: SetPartition, pb: SetPartition) -> bool:
     Equivalent to ``pa.join(pb).is_coarsest()`` but only counts
     components instead of constructing the join: union-find over the
     *blocks* of both partitions (element x merges its pa-block with its
-    pb-block), so the join is trivial iff one component remains. This
-    predicate is the per-cell work of the streamed M_n / E_n matrix
-    builders, where it runs Bell(n)^2 times.
+    pb-block), so the join is trivial iff one component remains. The
+    M_n / E_n matrix builders answer whole rows at once with
+    :mod:`repro.kernels.join_batch`, which is pinned equal to this
+    predicate and falls back to it without numpy.
     """
     pa._check_ground(pb)
     n = pa.n
