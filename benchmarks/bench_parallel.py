@@ -21,7 +21,6 @@ import pytest
 
 from repro.analysis import print_table
 from repro.lowerbounds import clear_pair_cache, universal_bound_id_oblivious
-from repro.lowerbounds.vectorized import HAVE_NUMPY
 from repro.parallel import MIN_KEYED, ShardPlan
 
 
@@ -76,7 +75,6 @@ def test_fanout(benchmark, workers):
     assert report == serial
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 @pytest.mark.parametrize("n", [6, 7])
 def test_vectorized_kernel(benchmark, n):
     """Vectorized vs python scan at n=6/7: the machine-independent win."""

@@ -42,6 +42,7 @@ from repro.engine.request import (
     EngineOptions,
     EngineRequest,
     EngineResult,
+    KERNEL_MODES,
     normalize_params,
 )
 from repro.errors import EngineError, SessionError
@@ -434,7 +435,9 @@ def execute(
     :class:`~repro.cache.ShardCache` into their compute layer, the fresh
     payload is stored, and the request's key is returned either way.
     ``cache=None`` (or a disabled cache) is *exactly* the legacy path:
-    no key derivation, no fingerprinting, no lookups.
+    no key derivation, no fingerprinting, no lookups. A ``kernel``
+    outside :data:`KERNEL_MODES` raises :class:`EngineError` for every
+    kind, before any cache lookup, whether or not the kind uses it.
 
     A budget-exhausted run propagates
     :class:`~repro.errors.BudgetExceededError` and stores nothing at the
@@ -448,8 +451,12 @@ def execute(
         raise EngineError(
             f"unknown engine kind {kind!r}; known: {list(ENGINE_KINDS)}"
         )
-    params = normalize_params(kind, request.params)
     kernel = str(request.kernel)
+    if kernel not in KERNEL_MODES:
+        raise EngineError(
+            f"unknown kernel {kernel!r}; expected one of {', '.join(KERNEL_MODES)}"
+        )
+    params = normalize_params(kind, request.params)
     workers = int(request.workers)
 
     use_cache = (

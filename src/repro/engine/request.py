@@ -34,11 +34,17 @@ __all__ = [
     "EngineOptions",
     "EngineRequest",
     "EngineResult",
+    "KERNEL_MODES",
     "normalize_params",
 ]
 
 #: Every kind :func:`repro.engine.core.execute` dispatches.
 ENGINE_KINDS = ("run", "exhaustive", "sampling", "ranks", "fault-sweep", "bench")
+
+#: Every ``kernel`` a request may name (re-exported as
+#: :data:`repro.kernels.KERNEL_MODES`; defined here so validating a request
+#: never imports the numpy-backed kernels).
+KERNEL_MODES = ("auto", "reference")
 
 #: Kinds whose payloads are pure functions of their normalized params.
 #: ``bench`` is deliberately absent: its payload measures wall time, so a

@@ -9,9 +9,9 @@ Two engines sit behind :func:`hopcroft_karp`:
 
 * ``reference`` -- the original dict-of-set implementation below,
   operating directly on hashable vertices;
-* ``packed`` (the ``auto`` default) -- the integer-indexed bitset
-  engine of :mod:`repro.kernels.bitset_matching`, which compiles the
-  graph once and walks big-int adjacency masks.
+* the integer-indexed bitset engine of
+  :mod:`repro.kernels.bitset_matching` (``auto``, the default), which
+  compiles the graph once and walks big-int adjacency masks.
 
 Both always return a *valid maximum* matching of identical size; the
 specific edges may differ between engines (maximum matchings are not
@@ -120,8 +120,8 @@ def hopcroft_karp(
 ) -> Dict[Hashable, Hashable]:
     """Maximum matching; returns a left-vertex -> right-vertex map.
 
-    ``kernel`` selects the engine: ``packed`` (the ``auto`` default)
-    compiles the graph to the integer bitset engine of
+    ``kernel`` selects the engine: ``auto`` (the default) compiles the
+    graph to the integer bitset engine of
     :mod:`repro.kernels.bitset_matching`; ``reference`` keeps the
     original dict-of-set implementation. Both return valid maximum
     matchings of identical size.
@@ -134,7 +134,7 @@ def hopcroft_karp(
         edges=graph.edge_count(),
         engine=engine,
     ):
-        if engine == "packed":
+        if engine != "reference":
             return hopcroft_karp_bitset(graph)
         return _hopcroft_karp_impl(graph)
 

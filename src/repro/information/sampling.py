@@ -28,7 +28,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.errors import BudgetExceededError, CheckpointError
 from repro.obs.spans import span
 from repro.information.entropy import (
-    empirical_joint,
     entropy,
     marginal_x,
     marginal_y,
@@ -67,8 +66,8 @@ class SampledInformationReport:
     #: Population sketches over the sampled transcripts (name ->
     #: serialized state, see :mod:`repro.obs.sketches`): transcript-bit
     #: quantiles and transcript frequency counts. Derived purely from
-    #: the per-transcript counts all estimation paths compute
-    #: identically, so lean / resilient / sharded reports carry the same
+    #: the per-transcript counts both estimation paths compute
+    #: identically, so serial and sharded reports carry the same
     #: states; excluded from equality so reports stay comparable to
     #: hand-built expected values.
     population: Optional[Dict[str, Dict[str, Any]]] = field(default=None, compare=False)
@@ -87,13 +86,7 @@ class SampledInformationReport:
 def _transcript_population(
     transcript_counts: Iterable[Tuple[str, int]],
 ) -> Dict[str, Dict[str, Any]]:
-    """Population sketches from (transcript string, count) pairs.
-
-    Built from the per-transcript counts only -- never from the joint's
-    *input* keys, which deliberately differ between the lean path
-    (partition objects) and the resilient/sharded paths (canonical
-    strings) -- so every estimation path produces identical states.
-    """
+    """Population sketches from (transcript string, count) pairs."""
     from repro.obs.sketches import QuantileSketch, TopKSketch
 
     bits = QuantileSketch()
@@ -125,14 +118,12 @@ def _report_from_joint(
     errors: int,
     population: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> SampledInformationReport:
-    """Assemble the report from an empirical joint (keys may be relabeled).
+    """Assemble the report from an empirical joint.
 
-    Every derived quantity -- entropies, mutual information, distinct
-    counts, Miller-Madow bias -- is invariant under injective relabeling
-    of the outcome keys, so the resilient path (which keys inputs by
-    their canonical string form to stay JSON-serializable) produces
-    numbers identical to the lean path (which keys by the partitions
-    themselves).
+    Inputs are keyed by their canonical string form (JSON-serializable
+    for checkpoints); every derived quantity -- entropies, mutual
+    information, distinct counts, Miller-Madow bias -- is invariant
+    under that injective relabeling.
     """
     info = mutual_information(joint)
     distinct_x = len(marginal_x(joint))
@@ -184,10 +175,9 @@ def estimate_protocol_information(
     inputs from ``rng`` (consuming exactly the random stream the serial
     loop would, so the caller's RNG ends in the identical state), shards
     the drawn list, and merges the per-shard joint counts key-wise. The
-    merged report is bit-identical to the serial *resilient* path for
-    every worker count (both sum the joint in sorted key order; the lean
-    serial path differs only in float summation order, as documented on
-    its checkpoint semantics). Sharded checkpoints use kind
+    merged report is bit-identical to the serial path for every worker
+    count, budgeted or not (both sum the joint in sorted key order).
+    Sharded checkpoints use kind
     ``"sampling.sharded"`` and embed a digest of the drawn inputs, so a
     resume must pass a fresh ``rng`` seeded identically to the original
     run -- a mismatched seed fails checkpoint validation instead of
@@ -206,8 +196,7 @@ def estimate_protocol_information(
       exactly the random stream an uninterrupted one would.
     * ``resume`` -- path to a previous checkpoint; validates (n,
       samples) and restores counts + RNG state, so an interrupted +
-      resumed run is bit-identical to an uninterrupted resilient run
-      (and agrees with the lean path up to float summation order).
+      resumed run is bit-identical to an uninterrupted run.
 
     When a :class:`repro.obs.SpanRecorder` is installed the estimator
     emits a ``sampling.estimate`` span with ``sampling.draw`` (protocol
@@ -256,32 +245,6 @@ def _estimate_impl(
     resume: Optional[str],
 ) -> SampledInformationReport:
     pb = SetPartition.finest(n)
-    resilient = (
-        budget is not None or checkpoint_path is not None or resume is not None
-    )
-
-    if not resilient:
-        # The original lean loop: nothing per-iteration but the protocol.
-        pairs = []
-        errors = 0
-        with span("sampling.draw", resilient=False):
-            for _ in range(samples):
-                pa = random_partition(n, rng)
-                result = protocol.run(pa, pb)
-                pairs.append((pa, result.transcript_string()))
-                if result.bob_output != pa:
-                    errors += 1
-        with span("sampling.reduce"):
-            pair_counts: Dict[Tuple[Any, str], int] = {}
-            for pair in pairs:
-                pair_counts[pair] = pair_counts.get(pair, 0) + 1
-            population = _transcript_population(
-                _transcript_counts_from_pairs(pair_counts.items())
-            )
-            return _report_from_joint(
-                n, samples, empirical_joint(pairs), errors, population
-            )
-
     params = {"n": n, "samples": samples}
     counts: Dict[Tuple[str, str], int] = {}
     errors = 0
@@ -329,7 +292,7 @@ def _estimate_impl(
             return None
         return _report_from_joint(n, done, _joint(done), errors)
 
-    with span("sampling.draw", resilient=True, start_index=done):
+    with span("sampling.draw", start_index=done):
         try:
             while done < samples:
                 pa = random_partition(n, rng)
@@ -435,7 +398,7 @@ def _estimate_sharded(
     merge key-wise (:func:`repro.parallel.merge_counts`); the final
     joint is summed in sorted key order, which makes the report
     independent of worker count and completion order and bit-identical
-    to the serial resilient path.
+    to the serial path.
     """
     with span("sampling.draw_inputs", samples=samples):
         inputs = [random_partition(n, rng) for _ in range(samples)]

@@ -20,8 +20,9 @@ replace the per-item Python calls:
 Only the surviving pairs -- typically a small fraction -- proceed to
 the Python-level cover construction, which is identical to the
 reference's, so the produced neighbor sets are equal element for
-element. The pure-python fallback (numpy absent) applies the same three
-conditions pair by pair and is pinned equal by the tests.
+element. Below :data:`BATCH_THRESHOLD` active edges the pure-python
+filter applies the same three conditions pair by pair; the two are
+pinned equal by the tests.
 """
 
 from __future__ import annotations
@@ -29,21 +30,14 @@ from __future__ import annotations
 from itertools import combinations
 from typing import List, Sequence, Tuple
 
-try:  # optional accelerator; the pure-python filter is the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
+import numpy as _np
 
-__all__ = ["BATCH_THRESHOLD", "HAVE_NUMPY", "valid_crossing_pairs"]
+__all__ = ["BATCH_THRESHOLD", "valid_crossing_pairs"]
 
 #: Below this many active directed edges the python filter wins: the
 #: numpy batch pays fixed array-construction costs that only amortize
 #: once the C(m, 2) candidate block is a few thousand pairs deep.
 BATCH_THRESHOLD = 64
-
-#: True when numpy imported; the graph builder need not check -- this
-#: module falls back internally.
-HAVE_NUMPY = _np is not None
 
 DirectedEdge = Tuple[int, int]
 
@@ -87,14 +81,14 @@ def valid_crossing_pairs(
 
     Small actives (fewer than :data:`BATCH_THRESHOLD` directed edges,
     i.e. under ~2k candidate pairs) go through the pair-by-pair python
-    filter even when numpy is present: at that size the array setup
-    costs more than it saves, and the two filters are pinned identical,
-    so the cutoff is invisible in the results.
+    filter: at that size the array setup costs more than it saves, and
+    the two filters are pinned identical, so the cutoff is invisible in
+    the results.
     """
     m = len(active)
     if m < 2 or not edges:
         return []
-    if _np is None or m < BATCH_THRESHOLD:
+    if m < BATCH_THRESHOLD:
         return _valid_pairs_python(n, edges, active)
     arr = _np.asarray(active, dtype=_np.int64)  # (m, 2): head, tail
     i, j = _np.triu_indices(m, k=1)

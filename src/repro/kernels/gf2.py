@@ -14,11 +14,9 @@ engines live here:
   are processed in blocks of ``k`` pivot columns, a 2^k-entry XOR
   table of pivot-row combinations is built per block, and every
   non-pivot row is fixed up with *one* table-lookup XOR per block
-  instead of one XOR per pivot column. With numpy present the matrix
-  lives in uint64 words and the per-column bookkeeping (pivot search,
-  block-bit updates) is vectorized; without numpy a pure-python
-  big-int variant of the same schedule runs instead (correct, roughly
-  parity with the packed engine). The asymptotic win is a factor ~k on
+  instead of one XOR per pivot column. The matrix lives in numpy
+  uint64 words and the per-column bookkeeping (pivot search, block-bit
+  updates) is vectorized. The asymptotic win is a factor ~k on
   the row-fixup work; measured >= 2x over ``rank_gf2_packed`` on dense
   2048^2 inputs and growing with size (see EXPERIMENTS.md P5).
 
@@ -36,13 +34,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
+import numpy as _np
+
 if TYPE_CHECKING:  # runtime-import-free, like partitions.linalg
     from repro.resilience.budget import Budget
-
-try:  # optional accelerator; every entry point falls back without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
 
 Matrix = Sequence[Sequence[int]]
 
@@ -96,29 +91,24 @@ def pack_rows(matrix: Matrix) -> List[int]:
     Fast path: ``numpy.packbits`` per row + ``int.from_bytes``
     (bit-for-bit equal to the reference packer, pinned by the parity
     tests). Rows numpy cannot losslessly coerce to an integer dtype --
-    huge entries, floats, a missing numpy install -- silently take the
-    bytearray fallback, which is itself linear per row where the
-    original per-entry big-int packer was quadratic on dense rows.
+    huge entries, floats -- silently take the bytearray fallback, which
+    is itself linear per row where the original per-entry big-int packer
+    was quadratic on dense rows.
     """
     packed: List[int] = []
     for row in matrix:
-        if _np is not None:
-            try:
-                arr = _np.asarray(row)
-            except (ValueError, OverflowError):  # pragma: no cover - exotic rows
-                arr = None
-            if (
-                arr is not None
-                and arr.ndim == 1
-                and arr.dtype.kind in "iub"
-            ):
-                bits = (arr & 1).astype(_np.uint8)
-                packed.append(
-                    int.from_bytes(
-                        _np.packbits(bits, bitorder="little").tobytes(), "little"
-                    )
+        try:
+            arr = _np.asarray(row)
+        except (ValueError, OverflowError):  # pragma: no cover - exotic rows
+            arr = None
+        if arr is not None and arr.ndim == 1 and arr.dtype.kind in "iub":
+            bits = (arr & 1).astype(_np.uint8)
+            packed.append(
+                int.from_bytes(
+                    _np.packbits(bits, bitorder="little").tobytes(), "little"
                 )
-                continue
+            )
+            continue
         packed.append(_pack_row_bytes(row))
     return packed
 
@@ -161,90 +151,8 @@ def rank_gf2_packed(
 
 def _check_k(k: int) -> int:
     if not 1 <= k <= _M4RI_MAX_K:
-        raise ValueError(f"four-russians block width k must be in [1, {_M4RI_MAX_K}], got {k}")
+        raise ValueError(f"M4RI block width k must be in [1, {_M4RI_MAX_K}], got {k}")
     return k
-
-
-def _rank_gf2_m4ri_python(
-    rows: List[int], cols: int, k: int, budget: Optional["Budget"]
-) -> int:
-    """Pure-python Four-Russians on big-int rows (the no-numpy fallback).
-
-    Identical schedule to the numpy path: per block of ``k`` columns the
-    pivot rows' final values accumulate lazily (``applied`` records
-    which block pivots each row absorbed), and one XOR-table lookup per
-    row finalizes the block. Pivot choice, tick order, and the
-    full-rank break mirror :func:`rank_gf2_packed` exactly.
-    """
-    nrows = len(rows)
-    rank = 0
-    base = 0
-    for c0 in range(0, cols, k):
-        w = min(k, cols - c0)
-        mask = (1 << w) - 1
-        nbelow = nrows - base
-        chunks = [(rows[base + j] >> c0) & mask for j in range(nbelow)]
-        applied = [0] * nbelow
-        piv_vals: List[int] = []
-        full = False
-        for i in range(w):
-            if budget is not None:
-                budget.tick()
-            bit = 1 << i
-            found = len(piv_vals)
-            pivot = None
-            for j in range(found, nbelow):
-                if chunks[j] & bit:
-                    pivot = j
-                    break
-            if pivot is None:
-                continue
-            if pivot != found:
-                chunks[found], chunks[pivot] = chunks[pivot], chunks[found]
-                applied[found], applied[pivot] = applied[pivot], applied[found]
-                rows[base + found], rows[base + pivot] = (
-                    rows[base + pivot],
-                    rows[base + found],
-                )
-            # the pivot row's true value: its original value plus every
-            # block pivot it absorbed before being chosen itself
-            val = rows[base + found]
-            sel = applied[found]
-            t = 0
-            while sel:
-                if sel & 1:
-                    val ^= piv_vals[t]
-                sel >>= 1
-                t += 1
-            piv_vals.append(val)
-            pchunk = chunks[found]
-            pbit = 1 << found
-            for j in range(found + 1, nbelow):
-                if chunks[j] & bit:
-                    chunks[j] ^= pchunk
-                    applied[j] |= pbit
-            rank += 1
-            if base + len(piv_vals) == nrows:
-                full = True
-                break
-        found = len(piv_vals)
-        if found:
-            for t in range(found):
-                rows[base + t] = piv_vals[t]
-            # all 2^found pivot combinations, built incrementally: entry m
-            # differs from entry (m minus its lowest bit) by one pivot row
-            table = [0] * (1 << found)
-            for m in range(1, 1 << found):
-                low = m & -m
-                table[m] = table[m ^ low] ^ piv_vals[low.bit_length() - 1]
-            for j in range(found, nbelow):
-                sel = applied[j]
-                if sel:
-                    rows[base + j] ^= table[sel]
-            base += found
-        if full:
-            break
-    return rank
 
 
 def _rows_to_words(rows: Sequence[int], cols: int):
@@ -346,18 +254,13 @@ def rank_gf2_m4ri(
 
     ``rows`` is the same packed big-int representation
     :func:`rank_gf2_packed` takes (and, like it, may be mutated).
-    ``k`` is the block width (2^k-entry tables). With numpy the
-    vectorized engine runs; without it the pure-python schedule does --
-    both return the reference rank with reference budget-tick
-    boundaries on every input.
+    ``k`` is the block width (2^k-entry tables). Returns the reference
+    rank with reference budget-tick boundaries on every input.
     """
     _check_k(k)
-    nrows = len(rows)
-    if nrows == 0 or cols == 0:
+    if not rows or cols == 0:
         return 0
-    if _np is not None:
-        return _rank_gf2_m4ri_numpy(rows, cols, k, budget)
-    return _rank_gf2_m4ri_python(rows, cols, k, budget)
+    return _rank_gf2_m4ri_numpy(rows, cols, k, budget)
 
 
 def rank_gf2(matrix: Matrix, budget: Optional["Budget"] = None) -> int:

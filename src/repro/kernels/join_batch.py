@@ -23,30 +23,23 @@ integer arrays:
 Each closure pass either reaches a new P-block or changes nothing, so
 a row block settles within ``#blocks(P)`` passes. Answers equal the
 reference predicate's cell for cell, including the degenerate ground
-set ``n = 0`` (no blocks, never the one-block partition). Without numpy
--- or past 64 elements, where the block masks outgrow a machine word --
-the kernel runs the reference predicate cell by cell.
+set ``n = 0`` (no blocks, never the one-block partition). Past 64
+elements, where the block masks outgrow a machine word, the kernel runs
+the reference predicate cell by cell.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
+import numpy as _np
+
 from repro.errors import PartitionError
 
 if TYPE_CHECKING:  # the partitions package imports this one at runtime
     from repro.partitions.set_partition import SetPartition
 
-try:  # optional accelerator; the per-cell predicate is the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
-
-__all__ = ["HAVE_NUMPY", "join_to_top_matrix", "join_to_top_supports"]
-
-#: True when numpy imported; callers need not check -- this module falls
-#: back internally.
-HAVE_NUMPY = _np is not None
+__all__ = ["join_to_top_matrix", "join_to_top_supports"]
 
 #: Cells (rows x columns x column blocks) of one batched mask block: rows
 #: are grouped so each block's temporaries stay around a megabyte.
@@ -64,10 +57,6 @@ def _ground(rows: Sequence["SetPartition"], cols: Sequence["SetPartition"]) -> i
             f"partitions over different ground sets: {sorted(sizes)}"
         )
     return sizes.pop() if sizes else 0
-
-
-def _batched(n: int) -> bool:
-    return _np is not None and n <= _MAX_BATCHED_N
 
 
 def _reference_rows(
@@ -125,7 +114,7 @@ def join_to_top_matrix(
 ) -> List[List[int]]:
     """The 0/1 matrix ``[[joins_to_top(p, q) for q in cols] for p in rows]``."""
     n = _ground(rows, cols)
-    if not _batched(n):
+    if n > _MAX_BATCHED_N:
         return [[1 if top else 0 for top in row] for row in _reference_rows(rows, cols)]
     out: List[List[int]] = []
     for block in _top_blocks(rows, cols, n):
@@ -138,7 +127,7 @@ def join_to_top_supports(
 ) -> List[Tuple[int, ...]]:
     """Per row, the indices of the columns ``q`` with ``joins_to_top(p, q)``."""
     n = _ground(rows, cols)
-    if not _batched(n):
+    if n > _MAX_BATCHED_N:
         return [
             tuple(j for j, top in enumerate(row) if top)
             for row in _reference_rows(rows, cols)

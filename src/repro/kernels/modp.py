@@ -32,7 +32,7 @@ follow:
   default prime) ``(p-1)^2 = 2^62 - 2^33 + 4``, so the lazy bound holds
   only for ``k <= 2`` and every larger matrix reduces eagerly.
   :func:`batched_modp_supported` encodes the eager bound; a prime past
-  it falls back to the pure-python reference.
+  it runs the pure-python reference instead.
 
 Bit-identical contract: mod-p rank and the per-column pivot structure
 are mathematically determined, the column loop ticks the
@@ -45,26 +45,19 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
+import numpy as _np
+
 if TYPE_CHECKING:  # runtime-import-free, like partitions.linalg
     from repro.resilience.budget import Budget
-
-try:  # optional accelerator; callers fall back without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
 
 Matrix = Sequence[Sequence[int]]
 
 __all__ = [
-    "HAVE_NUMPY",
     "UPDATE_CHUNK_ROWS",
     "batched_modp_supported",
     "lazy_reduction_safe",
     "rank_mod_p_batched",
 ]
-
-#: True when numpy imported; linalg checks this before dispatching here.
-HAVE_NUMPY = _np is not None
 
 _INT64_MAX = 2**63 - 1
 
@@ -80,7 +73,7 @@ def batched_modp_supported(p: int) -> bool:
     in ``[0, p)``, so the extreme intermediates are ``-(p-1)^2`` and
     ``p - 1``; both must fit signed 64-bit.
     """
-    return HAVE_NUMPY and (p - 1) * (p - 1) + (p - 1) <= _INT64_MAX
+    return (p - 1) * (p - 1) + (p - 1) <= _INT64_MAX
 
 
 def lazy_reduction_safe(p: int, pivots: int) -> bool:
@@ -109,14 +102,11 @@ def rank_mod_p_batched(
 ) -> int:
     """Rank over GF(p) with batched numpy elimination.
 
-    Requires numpy and :func:`batched_modp_supported`; callers
-    (``repro.partitions.linalg``) check both and fall back to the
-    pure-python reference silently -- this function raises
-    ``RuntimeError`` if invoked without them (a programming error, not
-    a user error).
+    Requires :func:`batched_modp_supported`; ``repro.partitions.linalg``
+    checks it and runs the pure-python reference otherwise -- this
+    function raises ``RuntimeError`` on an unsupported prime (a
+    programming error, not a user error).
     """
-    if _np is None:
-        raise RuntimeError("numpy is not available; use the reference engine")
     if not batched_modp_supported(p):
         raise RuntimeError(
             f"prime {p} overflows the int64 reduction; use the reference engine"

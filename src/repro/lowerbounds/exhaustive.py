@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import BudgetExceededError, CheckpointError
 from repro.indist.graph_builder import cross_cover
 from repro.instances.enumeration import CycleCover, enumerate_one_cycle_covers
-from repro.lowerbounds.vectorized import HAVE_NUMPY, scan_assignments
+from repro.lowerbounds.vectorized import scan_assignments
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.sketches import (
     MomentsSketch,
@@ -284,9 +284,8 @@ def universal_bound_id_oblivious(
     :class:`repro.parallel.ShardPlan` (``workers=1``, the default, keeps
     the original in-process loop byte-for-byte). ``vectorize`` selects
     the numpy block-scoring kernel
-    (:mod:`repro.lowerbounds.vectorized`); ``None`` auto-enables it when
-    ``workers > 1`` and numpy is importable, and a ``True`` without
-    numpy degrades cleanly to the pure-python scanner. Both paths
+    (:mod:`repro.lowerbounds.vectorized`); ``None`` enables it when
+    ``workers > 1``. Both paths
     produce the exact report of the serial search -- same minimum, same
     winning assignment, same tie-breaks -- for every worker count.
     Sharded runs checkpoint under kind ``"exhaustive.sharded"`` (one
@@ -349,11 +348,7 @@ def universal_bound_id_oblivious(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    use_vectorize = (
-        (workers > 1 and HAVE_NUMPY)
-        if vectorize is None
-        else bool(vectorize) and HAVE_NUMPY
-    )
+    use_vectorize = workers > 1 if vectorize is None else bool(vectorize)
     with span("exhaustive.search", n=n, class_size=len(alphabet) ** n):
         if workers > 1 or use_vectorize:
             return _universal_bound_sharded(
@@ -617,7 +612,7 @@ def _exhaustive_shard_worker(payload: Tuple) -> Dict[str, object]:
                 ),
             }
         budget = shard_budget.to_budget()
-    if vectorize and HAVE_NUMPY:
+    if vectorize:
         with span("exhaustive.scan_vectorized", start=start, stop=stop):
             best, pos, enumerated, fooled, exhausted = scan_assignments(
                 n, alphabet, table, start, stop, budget=budget, sketches=sketches

@@ -21,38 +21,20 @@ scores **blocks** of assignments at once:
   **bit-identical** to the pure-python path -- not merely close. The
   cross-check tests assert exact float equality over the full
   enumerable space at small n.
-
-numpy is optional: :data:`HAVE_NUMPY` is False when the import fails and
-callers (the sharded search, the CLI auto-enable logic) fall back to the
-pure-python scanner. Nothing in this module hard-requires numpy at
-import time.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.errors import BudgetExceededError
 
-try:  # optional accelerator; everything falls back without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
-
-__all__ = ["HAVE_NUMPY", "ScoreTables", "block_scores", "scan_assignments"]
-
-#: True when numpy imported; the sharded search checks this to auto-enable.
-HAVE_NUMPY = _np is not None
+__all__ = ["ScoreTables", "block_scores", "scan_assignments"]
 
 #: (best_error, best_global_index) -- None until a block has been scored.
 Best = Optional[Tuple[float, int]]
-
-
-def _require_numpy() -> None:
-    if _np is None:
-        raise RuntimeError(
-            "numpy is not available; use the pure-python assignment scanner"
-        )
 
 
 def _digit_block(base: int, n: int, start: int, stop: int):
@@ -85,7 +67,6 @@ class ScoreTables:
         alphabet: Sequence[str],
         covers_and_pairs: Sequence[Tuple[Any, Sequence[Tuple]]],
     ):
-        _require_numpy()
         self.n = n
         self.base = len(alphabet)
         self.num_covers = len(covers_and_pairs)
@@ -146,7 +127,6 @@ def block_scores(
     :func:`scan_assignments`, which reuses one :class:`ScoreTables` and
     tracks the running best across blocks.
     """
-    _require_numpy()
     tables = ScoreTables(n, alphabet, covers_and_pairs)
     return tables.score_block(_digit_block(len(alphabet), n, start, stop))
 
@@ -180,7 +160,6 @@ def scan_assignments(
     states equal the pure-python scanner's exactly (sketch states are
     pure functions of the observed multiset).
     """
-    _require_numpy()
     tables = ScoreTables(n, alphabet, covers_and_pairs)
     best: Best = None
     pos = start

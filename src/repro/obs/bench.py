@@ -602,15 +602,14 @@ def _run_parallel(params: Dict[str, Any]) -> RunnerOutput:
     """P2: the ``repro.parallel`` layer -- correctness first, speed second.
 
     Times the serial python scan, the fanned-out scan (``workers``
-    processes), and -- when numpy is present -- the vectorized kernel,
-    all on the same exhaustive-search instance, and checks the three
-    reports are identical. ``ok`` is the identity check plus schema
+    processes), and the vectorized kernel, all on the same
+    exhaustive-search instance, and checks the three reports are
+    identical. ``ok`` is the identity check plus schema
     validity only: speedups are *recorded* but never gate (single-core
     CI runners make fan-out speedups meaningless; the honest number is
     still worth tracking).
     """
     from repro.lowerbounds import clear_pair_cache, universal_bound_id_oblivious
-    from repro.lowerbounds.vectorized import HAVE_NUMPY
 
     n = params["n"]
     alphabet = tuple(params["alphabet"])
@@ -626,26 +625,22 @@ def _run_parallel(params: Dict[str, Any]) -> RunnerOutput:
     clear_pair_cache()
     serial, serial_s = _timed(1, False)
     fanned, fanout_s = _timed(workers, False)
+    vec, vec_s = _timed(1, True)
     identical = (
         fanned.minimum_forced_error == serial.minimum_forced_error
         and fanned.worst_assignment == serial.worst_assignment
         and fanned.class_size == serial.class_size
+        and vec.minimum_forced_error == serial.minimum_forced_error
+        and vec.worst_assignment == serial.worst_assignment
     )
     measured: Dict[str, Any] = {
         "serial_seconds": serial_s,
         "fanout_seconds": fanout_s,
         "fanout_workers": workers,
         "fanout_speedup": serial_s / fanout_s if fanout_s > 0 else None,
-        "have_numpy": HAVE_NUMPY,
+        "vectorized_seconds": vec_s,
+        "vectorized_speedup": serial_s / vec_s if vec_s > 0 else None,
     }
-    if HAVE_NUMPY:
-        vec, vec_s = _timed(1, True)
-        identical = identical and (
-            vec.minimum_forced_error == serial.minimum_forced_error
-            and vec.worst_assignment == serial.worst_assignment
-        )
-        measured["vectorized_seconds"] = vec_s
-        measured["vectorized_speedup"] = serial_s / vec_s if vec_s > 0 else None
     cache_dir = params.get("cache_dir")
     if cache_dir:
         # Warm-path leg (``repro bench --cache DIR`` only): the same
@@ -699,7 +694,13 @@ def _run_kernels(params: Dict[str, Any]) -> RunnerOutput:
     """
     from repro.indist.graph_builder import build_combinatorial_graph
     from repro.indist.matching import hopcroft_karp
-    from repro.kernels import pack_rows, rank_gf2_m4ri, rank_gf2_packed, rank_mod_p_sparse
+    from repro.kernels import (
+        pack_rows,
+        rank_gf2_m4ri,
+        rank_gf2_packed,
+        rank_mod_p_batched,
+        rank_mod_p_sparse,
+    )
     from repro.partitions import build_m_matrix
     from repro.partitions.linalg import DEFAULT_PRIMES, rank_mod_p
 
@@ -777,7 +778,7 @@ def _run_kernels(params: Dict[str, Any]) -> RunnerOutput:
             [sum(generators[g][c] for g in picks) % p for c in range(sparse_size)]
         )
     sparse_dense, sparse_dense_s = timed(
-        lambda: rank_mod_p(sparse_matrix, p, kernel="packed")
+        lambda: rank_mod_p_batched(sparse_matrix, p)
     )
     sparse_fast, sparse_fast_s = timed(lambda: rank_mod_p_sparse(sparse_matrix, p))
 
@@ -1063,7 +1064,7 @@ class BenchmarkHarness:
         Compute-kernel mode (one of :data:`repro.kernels.KERNEL_MODES`)
         for specs with ``supports_kernel=True``: injected into their
         params as ``kernel``. History records carry it exactly like
-        ``workers`` -- a packed-engine wall time is not comparable to a
+        ``workers`` -- an auto-engine wall time is not comparable to a
         reference-engine one.
     cache_dir:
         Result-cache directory for specs with ``supports_cache=True``:

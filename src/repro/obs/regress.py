@@ -34,7 +34,7 @@ parallel layer) is the harness fan-out the run used; baselines are
 partitioned on it exactly like ``quick``. ``kernel`` (optional; absent
 = "auto" on records written before the kernels layer) is the
 compute-kernel mode (:data:`repro.kernels.KERNEL_MODES`) and partitions
-baselines the same way -- a packed-engine wall time is speedup relative
+baselines the same way -- an auto-engine wall time is speedup relative
 to a reference-engine median, not a baseline for it.
 
 ``cache`` (optional; absent = "off" on records written before the

@@ -19,20 +19,16 @@ provided and cross-checked in the tests:
 certificate; otherwise Bareiss settles the exact value (or mod-p ranks at
 several primes are taken, whose maximum lower-bounds the rational rank).
 
-Every entry point takes ``kernel`` (``auto`` | ``packed`` |
-``four-russians`` | ``sparse`` | ``reference``, see
-:mod:`repro.kernels`). The fast family dispatches ``rank_mod_p`` per
-prime: at ``p = 2`` the word-packed GF(2) bitset engine or -- above
-:data:`M4RI_ROW_THRESHOLD` rows with numpy present, or always under
-``kernel="four-russians"`` -- the Four-Russians table elimination; at
-odd primes the batched numpy int64 engine, the sparse dict-row engine
-(below :data:`~repro.kernels.SPARSE_DENSITY_CUTOFF` density in
-``auto``, always under ``kernel="sparse"``), or the pure-python
-reference as the silent fallback. All engines are bit-identical: the
-rank over a fixed field is mathematically determined, and each engine
-ticks the :class:`~repro.resilience.Budget` once per pivot column under
-the same pivot structure, so checkpoint / resume boundaries and span
-trees are unchanged.
+Every entry point takes ``kernel`` (``auto`` | ``reference``, see
+:mod:`repro.kernels`). ``auto`` dispatches ``rank_mod_p`` from the
+input alone: at ``p = 2`` the word-packed GF(2) bitset engine, or the
+Four-Russians table elimination at or above :data:`M4RI_ROW_THRESHOLD`
+rows; at odd primes the batched numpy int64 engine when ``(p-1)^2``
+fits int64, else the pure-python reference. All engines are
+bit-identical: the rank over a fixed field is mathematically
+determined, and each engine ticks the :class:`~repro.resilience.Budget`
+once per pivot column under the same pivot structure, so checkpoint /
+resume boundaries and span trees are unchanged.
 """
 
 from __future__ import annotations
@@ -40,17 +36,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.kernels import (
-    SPARSE_DENSITY_CUTOFF,
-    SPARSE_MIN_CELLS,
     batched_modp_supported,
-    matrix_density,
     rank_gf2,
     rank_gf2_four_russians,
     rank_mod_p_batched,
-    rank_mod_p_sparse,
     resolve_kernel,
 )
-from repro.kernels import gf2 as _gf2
 from repro.obs.spans import span
 
 if TYPE_CHECKING:  # import-free at runtime: linalg stays dependency-light
@@ -62,10 +53,10 @@ Matrix = Sequence[Sequence[int]]
 DEFAULT_PRIMES = (1_000_003, 999_983, 2_147_483_647)
 
 #: ``auto`` routes GF(2) ranks to the Four-Russians engine at or above
-#: this many rows (with numpy present). The measured crossover on the
-#: bench container is ~400 rows (0.9x there, 1.2x at 512, 2.2x at
-#: 2048); below it the per-block setup costs more than the table
-#: lookups save and the packed engine wins.
+#: this many rows. The measured crossover on the bench container is
+#: ~400 rows (0.9x there, 1.2x at 512, 2.2x at 2048); below it the
+#: per-block setup costs more than the table lookups save and the
+#: packed engine wins.
 M4RI_ROW_THRESHOLD = 512
 
 
@@ -157,37 +148,12 @@ def _rank_mod_p_python(
     return rank
 
 
-def _modp_engine(p: int, kernel: str, matrix: Optional[Matrix] = None) -> str:
-    """The engine name a (p, kernel) combination dispatches to.
-
-    ``matrix`` feeds the input-adaptive choices of ``auto`` (row count
-    for the Four-Russians threshold, density for the sparse cutoff);
-    without it -- the legacy two-argument call -- ``auto`` picks the
-    size-independent engines, exactly as before the adaptive modes
-    existed.
-    """
+def _modp_engine(p: int, kernel: str, rows: int) -> str:
+    """The engine ``rank_mod_p`` runs for a ``rows``-row matrix mod ``p``."""
     if resolve_kernel(kernel) == "reference":
         return "python"
-    if kernel == "sparse":
-        return "sparse"
     if p == 2:
-        if kernel == "four-russians":
-            return "gf2-m4ri"
-        if (
-            kernel == "auto"
-            and _gf2._np is not None
-            and matrix is not None
-            and len(matrix) >= M4RI_ROW_THRESHOLD
-        ):
-            return "gf2-m4ri"
-        return "gf2-packed"
-    if kernel == "auto" and matrix is not None:
-        rows_, cols_ = _shape(matrix)
-        if (
-            rows_ * cols_ >= SPARSE_MIN_CELLS
-            and matrix_density(matrix) <= SPARSE_DENSITY_CUTOFF
-        ):
-            return "sparse"
+        return "gf2-m4ri" if rows >= M4RI_ROW_THRESHOLD else "gf2-packed"
     if batched_modp_supported(p):
         return "numpy-batched"
     return "python"
@@ -201,21 +167,18 @@ def rank_mod_p(
 ) -> int:
     """Rank over GF(p). Always a lower bound on the rational rank.
 
-    ``kernel`` selects the engine (see :mod:`repro.kernels`): the fast
-    family runs the word-packed bitset elimination at ``p = 2``
-    (Four-Russians above :data:`M4RI_ROW_THRESHOLD` rows in ``auto``,
-    always under ``kernel="four-russians"``) and, at odd primes, the
+    ``kernel`` selects the engine (see :mod:`repro.kernels`): ``auto``
+    runs the word-packed bitset elimination at ``p = 2`` (Four-Russians
+    at or above :data:`M4RI_ROW_THRESHOLD` rows) and, at odd primes, the
     batched numpy int64 elimination for primes whose ``(p-1)^2`` fits
     int64 (every default prime qualifies, including the Mersenne prime
-    ``2^31 - 1`` -- pinned by the overflow regression tests) or the
-    sparse dict-row elimination (below the density cutoff in ``auto``,
-    always under ``kernel="sparse"``); anything else, or
-    ``kernel="reference"``, runs the pure-python reference. All engines
-    return the same rank and tick ``budget`` once per pivot column (see
-    :func:`rank_bareiss`).
+    ``2^31 - 1`` -- pinned by the overflow regression tests); anything
+    else, or ``kernel="reference"``, runs the pure-python reference. All
+    engines return the same rank and tick ``budget`` once per pivot
+    column (see :func:`rank_bareiss`).
     """
-    engine = _modp_engine(p, kernel, matrix)
     rows_, cols_ = _shape(matrix)
+    engine = _modp_engine(p, kernel, rows_)
     with span("partitions.rank_mod_p", rows=rows_, cols=cols_, p=p, engine=engine):
         if engine == "gf2-packed":
             return rank_gf2(matrix, budget)
@@ -223,8 +186,6 @@ def rank_mod_p(
             return rank_gf2_four_russians(matrix, budget=budget)
         if engine == "numpy-batched":
             return rank_mod_p_batched(matrix, p, budget)
-        if engine == "sparse":
-            return rank_mod_p_sparse(matrix, p, budget)
         return _rank_mod_p_python(matrix, p, budget)
 
 

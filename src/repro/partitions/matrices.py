@@ -245,14 +245,14 @@ def streamed_matrix_rank_mod_p(
 
     Each block of rows is converted to its compact representation the
     moment it is built: packed big-int bitsets at ``p = 2`` (eliminated
-    by the Four-Russians engine above :data:`M4RI_ROW_THRESHOLD` rows in
-    ``auto``, always under ``kernel="four-russians"``, else the packed
-    engine) and sparse ``{col: 1}`` dicts at odd primes (the sparse
-    engine -- the matrices this pipeline exists for are exactly the
-    low-fill-in family where it wins; a dense engine would need the
-    materialized matrix the pipeline avoids). ``kernel="reference"``
-    raises ``ValueError``: the reference engine is defined on the dense
-    matrix (use the dense pipeline to cross-check, as the tests do).
+    by the Four-Russians engine at or above :data:`M4RI_ROW_THRESHOLD`
+    rows, else the packed engine) and sparse ``{col: 1}`` dicts at odd
+    primes (the sparse engine -- the matrices this pipeline exists for
+    are exactly the low-fill-in family where it wins; a dense engine
+    would need the materialized matrix the pipeline avoids).
+    ``kernel="reference"`` raises ``ValueError``: the reference engine
+    is defined on the dense matrix (use the dense pipeline to
+    cross-check, as the tests do).
     Ranks, budget ticks, and exhaustion boundaries equal the dense
     pipeline's on every input.
     """
@@ -262,12 +262,10 @@ def streamed_matrix_rank_mod_p(
         rank_mod_p_sparse_rows,
         resolve_kernel,
     )
-    from repro.kernels import gf2 as _gf2
 
     if resolve_kernel(kernel) == "reference":
         raise ValueError(
-            "streamed matrix pipeline requires a fast kernel family; "
-            "use kernel='auto'/'packed'/'four-russians'/'sparse' "
+            "streamed matrix pipeline requires kernel='auto' "
             "(the dense pipeline serves kernel='reference')"
         )
     table = _family_table(family, n)
@@ -280,16 +278,11 @@ def streamed_matrix_rank_mod_p(
         family=family,
         workers=workers,
     ):
-        if p == 2 and kernel != "sparse":
+        if p == 2:
             packed: List[int] = []
             for _, rows in stream_matrix_rows(n, family, block_rows, workers):
                 packed.extend(_pack_col_tuple(r, total) for r in rows)
-            use_m4ri = kernel == "four-russians" or (
-                kernel == "auto"
-                and _gf2._np is not None
-                and total >= M4RI_ROW_THRESHOLD
-            )
-            if use_m4ri:
+            if total >= M4RI_ROW_THRESHOLD:
                 return rank_gf2_m4ri(packed, total, budget=budget)
             return rank_gf2_packed(packed, total, budget)
         sparse: List[Dict[int, int]] = []
@@ -345,7 +338,7 @@ def _use_streamed(streamed: Optional[bool], total: int, kernel: str) -> bool:
 
     if streamed is not None:
         return streamed
-    return total >= STREAM_ROW_THRESHOLD and resolve_kernel(kernel) == "packed"
+    return total >= STREAM_ROW_THRESHOLD and resolve_kernel(kernel) != "reference"
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +356,7 @@ def m_matrix_rank(
 
     ``workers`` fans the multi-prime confirmation (dense) or the block
     construction (streamed) out; ``kernel`` picks the rank engine
-    (``repro.kernels``) -- every mode returns the same value.
+    (``repro.kernels``) -- both modes return the same value.
     ``streamed=None`` picks the streamed pipeline automatically at
     B_n >= :data:`STREAM_ROW_THRESHOLD` (never for
     ``kernel="reference"``, which is defined on the dense matrix).

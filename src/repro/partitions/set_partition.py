@@ -212,7 +212,7 @@ def joins_to_top(pa: SetPartition, pb: SetPartition) -> bool:
     pb-block), so the join is trivial iff one component remains. The
     M_n / E_n matrix builders answer whole rows at once with
     :mod:`repro.kernels.join_batch`, which is pinned equal to this
-    predicate and falls back to it without numpy.
+    predicate and falls back to it past 64 elements.
     """
     pa._check_ground(pb)
     n = pa.n

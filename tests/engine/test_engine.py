@@ -100,6 +100,16 @@ class TestValidation:
     def test_kind_lists_are_coherent(self):
         assert set(CACHEABLE_KINDS) == set(ENGINE_KINDS) - {"bench"}
 
+    @pytest.mark.parametrize("kernel", ["packed", "bogus"])
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_every_kind_rejects_unknown_kernels(self, kind, kernel, tmp_path):
+        # also for kinds that never read the kernel, and before any cache
+        # lookup, so no entry is ever keyed under a mode that does not exist
+        cache = ResultCache(str(tmp_path / "c"))
+        with pytest.raises(EngineError, match="unknown kernel"):
+            execute(EngineRequest(kind, {}, kernel=kernel), cache=cache)
+        assert cache.counters()["misses"] == 0
+
 
 class TestWholeRequestCache:
     def test_warm_hit_is_byte_identical(self, tmp_path):
@@ -131,10 +141,10 @@ class TestWholeRequestCache:
         cache = ResultCache(str(tmp_path / "c"))
         params = {"m_ns": [1, 2], "e_ns": [2]}
         ref = execute(EngineRequest("ranks", params, kernel="reference"), cache=cache)
-        packed = execute(EngineRequest("ranks", params, kernel="packed"), cache=cache)
-        assert ref.key != packed.key
-        assert not packed.cached  # distinct entry, so the first packed run misses
-        assert packed.payload == ref.payload  # ... but the results agree
+        auto = execute(EngineRequest("ranks", params, kernel="auto"), cache=cache)
+        assert ref.key != auto.key
+        assert not auto.cached  # distinct entry, so the first auto run misses
+        assert auto.payload == ref.payload  # ... but the results agree
 
     def test_disabled_cache_never_derives_keys(self, tmp_path):
         cache = ResultCache(str(tmp_path / "c"), enabled=False)
@@ -231,3 +241,29 @@ class TestShardGranularity:
         assert not result.cached  # different request key...
         assert counters["resilience.cells_cached"] == 2  # ...shared cells
         assert counters["resilience.trials_run"] == 2  # only the new rate ran
+
+
+class TestSamplingPathParity:
+    """Serial, sharded, and budgeted sampling give the same bits."""
+
+    PARAMS = {"n": 4, "samples": 60, "seed": 11}
+
+    def test_payloads_equal_across_paths(self):
+        from repro.resilience import Budget
+
+        serial = execute(EngineRequest("sampling", self.PARAMS, workers=1))
+        sharded = execute(EngineRequest("sampling", self.PARAMS, workers=2))
+        budgeted = execute(
+            EngineRequest("sampling", self.PARAMS, workers=1),
+            options=EngineOptions(budget=Budget(max_units=10_000)),
+        )
+        assert canonical_json(serial.payload) == canonical_json(sharded.payload)
+        assert canonical_json(serial.payload) == canonical_json(budgeted.payload)
+
+    def test_warm_hit_across_workers_equals_a_cold_run(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "c"))
+        execute(EngineRequest("sampling", self.PARAMS, workers=1), cache=cache)
+        warm = execute(EngineRequest("sampling", self.PARAMS, workers=2), cache=cache)
+        cold = execute(EngineRequest("sampling", self.PARAMS, workers=2))
+        assert warm.cached
+        assert canonical_json(warm.payload) == canonical_json(cold.payload)

@@ -68,13 +68,13 @@ class TestGraphBuilderIdentity:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_crossing_neighbors_equal(self, n):
         for cover in enumerate_one_cycle_covers(n):
-            assert crossing_neighbors(cover, kernel="packed") == crossing_neighbors(
+            assert crossing_neighbors(cover, kernel="auto") == crossing_neighbors(
                 cover, kernel="reference"
             )
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_combinatorial_graph_edge_for_edge(self, n):
-        fast = build_combinatorial_graph(n, kernel="packed")
+        fast = build_combinatorial_graph(n, kernel="auto")
         ref = build_combinatorial_graph(n, kernel="reference")
         assert sorted(fast.iter_left(), key=repr) == sorted(ref.iter_left(), key=repr)
         assert sorted(fast.iter_right(), key=repr) == sorted(
@@ -101,7 +101,6 @@ class TestNumpyBranch:
     """The batched path itself (above BATCH_THRESHOLD) stays identical."""
 
     def test_forced_batch_identical_on_small_covers(self, monkeypatch):
-        pytest.importorskip("numpy")
         import repro.kernels.crossing_batch as cb
 
         monkeypatch.setattr(cb, "BATCH_THRESHOLD", 2)
@@ -112,7 +111,6 @@ class TestNumpyBranch:
             ) == _reference_pairs(cover, active)
 
     def test_large_cycle_crosses_threshold_naturally(self):
-        pytest.importorskip("numpy")
         from repro.indist.graph_builder import cover_from_edges
         from repro.kernels.crossing_batch import BATCH_THRESHOLD
 

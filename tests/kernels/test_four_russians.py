@@ -4,7 +4,7 @@ The M4RI engine reorganizes the *work* of the elimination (per-block XOR
 tables instead of per-pivot row fixups) but not its mathematics: ranks,
 budget tick counts, and exhaustion boundaries must equal both the packed
 bitset engine's and the pure-python reference's on every input, at every
-block width k, on both the numpy and the pure-python code paths.
+block width k.
 """
 
 from itertools import product
@@ -22,8 +22,8 @@ from repro.kernels import (
     rank_gf2_m4ri,
     rank_gf2_packed,
 )
-from repro.kernels.gf2 import _rank_gf2_m4ri_python
 from repro.partitions import build_e_matrix, build_m_matrix, rank_mod_p
+from repro.partitions.linalg import M4RI_ROW_THRESHOLD
 from repro.resilience import Budget
 
 
@@ -67,34 +67,6 @@ class TestBlockBoundaries:
             rank_gf2_m4ri([0b1], 1, k=bad_k)
 
 
-class TestPurePythonEngine:
-    """The no-numpy schedule agrees with the numpy one and the reference."""
-
-    def test_matches_packed_on_randoms(self):
-        import random
-
-        rng = random.Random(42)
-        for _ in range(60):
-            rows = rng.randrange(1, 12)
-            cols = rng.randrange(1, 40)
-            matrix = [
-                [rng.randrange(2) for _ in range(cols)] for _ in range(rows)
-            ]
-            packed = pack_rows(matrix)
-            ref = rank_gf2_packed(list(packed), cols)
-            k = rng.choice([1, 2, 5, 8])
-            assert _rank_gf2_m4ri_python(list(packed), cols, k, None) == ref
-
-    def test_budget_ticks_match_packed(self):
-        _parts, matrix = build_m_matrix(4)
-        packed = pack_rows(matrix)
-        b_py, b_packed = Budget(max_units=10_000), Budget(max_units=10_000)
-        assert _rank_gf2_m4ri_python(
-            list(packed), len(matrix), 3, b_py
-        ) == rank_gf2_packed(list(packed), len(matrix), b_packed)
-        assert b_py.units_done == b_packed.units_done
-
-
 class TestPaperMatrices:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_m_matrix(self, n):
@@ -111,20 +83,25 @@ class TestPaperMatrices:
         assert rank_gf2_four_russians(matrix) == 8
 
 
+def _tall_m4():
+    """M_4's rows repeated past the M4RI row threshold (rank_2 stays 8)."""
+    _parts, m4 = build_m_matrix(4)
+    tall = m4 * (M4RI_ROW_THRESHOLD // len(m4) + 1)
+    assert len(tall) >= M4RI_ROW_THRESHOLD
+    return tall
+
+
 class TestKernelMode:
     def test_rank_mod_p_dispatch(self):
-        _parts, matrix = build_m_matrix(4)
-        assert rank_mod_p(matrix, 2, kernel="four-russians") == rank_mod_p(
-            matrix, 2, kernel="reference"
-        )
+        # auto runs M4RI at p = 2 from the row threshold on
+        tall = _tall_m4()
+        assert rank_mod_p(tall, 2) == rank_mod_p(tall, 2, kernel="reference") == 8
 
     def test_odd_primes_unaffected(self):
-        # four-russians is a GF(2) mode; odd primes dispatch as "packed"
-        _parts, matrix = build_m_matrix(3)
+        # M4RI is a GF(2) engine; odd primes never reach it
+        tall = _tall_m4()
         for p in (3, 1_000_003):
-            assert rank_mod_p(matrix, p, kernel="four-russians") == rank_mod_p(
-                matrix, p, kernel="packed"
-            )
+            assert rank_mod_p(tall, p) == rank_mod_p(tall, p, kernel="reference")
 
 
 class TestBudgetParity:

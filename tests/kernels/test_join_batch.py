@@ -3,17 +3,14 @@
 The kernel behind both matrix builders must reproduce, cell for cell,
 ``[[joins_to_top(p, q) for q in cols] for p in rows]``: on the whole M
 and E families, on arbitrary row/column subsets in any order, on the
-degenerate ground sets, with numpy present or absent, and through the
+degenerate ground sets, past the word-sized masks, and through the
 streamed pipeline at any worker count.
 """
-
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.kernels.join_batch as join_batch
 from repro.errors import PartitionError
 from repro.kernels import join_to_top_matrix, join_to_top_supports
 from repro.partitions import (
@@ -42,10 +39,6 @@ def assert_kernel_matches(rows, cols):
     assert join_to_top_supports(rows, cols) == supports_of(expected)
 
 
-def no_numpy():
-    return mock.patch.object(join_batch, "_np", None)
-
-
 FAMILIES = [("m", n) for n in range(0, 7)] + [("e", n) for n in (2, 4, 6)]
 
 
@@ -58,12 +51,6 @@ class TestFamilies:
     def test_whole_family(self, name, n):
         table = family(name, n)
         assert_kernel_matches(table, table)
-
-    @pytest.mark.parametrize("name,n", FAMILIES)
-    def test_whole_family_without_numpy(self, name, n):
-        table = family(name, n)
-        with no_numpy():
-            assert_kernel_matches(table, table)
 
     def test_partition_matrix_is_the_kernel(self):
         table = partitions_for(5)
@@ -94,8 +81,6 @@ class TestEdgeCases:
     def test_mixed_ground_sets_raise(self):
         with pytest.raises(PartitionError):
             join_to_top_matrix(partitions_for(3), partitions_for(4))
-        with no_numpy(), pytest.raises(PartitionError):
-            join_to_top_matrix(partitions_for(3), partitions_for(4))
 
     def test_past_word_size_falls_back(self):
         n = 70
@@ -125,14 +110,6 @@ def row_col_families(draw, max_n=18):
 def test_random_partitions_match_reference(families):
     rows, cols = families
     assert_kernel_matches(rows, cols)
-
-
-@settings(max_examples=40, deadline=None)
-@given(row_col_families(max_n=8))
-def test_random_partitions_match_reference_without_numpy(families):
-    rows, cols = families
-    with no_numpy():
-        assert_kernel_matches(rows, cols)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BudgetExceededError
-from repro.kernels import HAVE_NUMPY, batched_modp_supported, rank_mod_p_batched
+from repro.kernels import batched_modp_supported, rank_mod_p_batched
 from repro.partitions import (
     DEFAULT_PRIMES,
     build_m_matrix,
@@ -16,17 +16,15 @@ from repro.partitions import (
 )
 from repro.resilience import Budget
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
-
 #: The Mersenne prime 2^31 - 1 -- the largest default prime and the
 #: worst case the int64 reduction must survive: (p-1)^2 = 2^62 - 2^33 + 4.
 MERSENNE = 2_147_483_647
 
 
 class TestSupportBound:
-    def test_all_default_primes_supported_iff_numpy(self):
+    def test_all_default_primes_supported(self):
         for p in DEFAULT_PRIMES:
-            assert batched_modp_supported(p) == HAVE_NUMPY
+            assert batched_modp_supported(p)
 
     def test_mersenne_is_a_default_prime(self):
         assert MERSENNE in DEFAULT_PRIMES
@@ -35,13 +33,11 @@ class TestSupportBound:
         # (p-1)^2 alone overflows int64 once p - 1 > ~3.04e9
         assert not batched_modp_supported(2**32 + 15)
 
-    @needs_numpy
     def test_batched_raises_on_unsupported_prime(self):
         with pytest.raises(RuntimeError):
             rank_mod_p_batched([[1]], 2**32 + 15)
 
 
-@needs_numpy
 class TestOverflowSafetyAtMersenne:
     """Max-residue matrices at p = 2^31 - 1: every intermediate is extremal."""
 
@@ -75,17 +71,15 @@ class TestEngineIdentity:
     def test_m3_matrix_all_engines(self, p):
         _parts, matrix = build_m_matrix(3)
         ref = rank_mod_p(matrix, p, kernel="reference")
-        assert rank_mod_p(matrix, p, kernel="packed") == ref
         assert rank_mod_p(matrix, p, kernel="auto") == ref
         if batched_modp_supported(p) and p != 2:
             assert rank_mod_p_batched(matrix, p) == ref
 
     def test_empty_matrix(self):
         for p in DEFAULT_PRIMES:
-            assert rank_mod_p([], p, kernel="packed") == 0
+            assert rank_mod_p([], p, kernel="auto") == 0
 
 
-@needs_numpy
 class TestBudgetParity:
     def test_tick_counts_match_reference(self):
         _parts, matrix = build_m_matrix(3)
@@ -110,19 +104,19 @@ class TestBudgetParity:
 
 
 class TestWorkersTimesKernels:
-    """The PR 4 contract extended: any workers x any kernel, same number."""
+    """The PR 4 contract extended: any workers x either kernel, same number."""
 
     def test_rank_exact_packed_workers_equals_serial_reference(self):
         _parts, matrix = build_m_matrix(4)
         serial_ref = rank_exact(matrix, workers=1, kernel="reference")
-        assert rank_exact(matrix, workers=2, kernel="packed") == serial_ref
+        assert rank_exact(matrix, workers=2, kernel="auto") == serial_ref
         assert rank_exact(matrix, workers=2, kernel="reference") == serial_ref
-        assert rank_exact(matrix, workers=1, kernel="packed") == serial_ref
+        assert rank_exact(matrix, workers=1, kernel="auto") == serial_ref
 
     def test_rank_multi_prime_packed_workers_equals_serial_reference(self):
         _parts, matrix = build_m_matrix(3)
         serial_ref = rank_multi_prime(matrix, workers=1, kernel="reference")
-        assert rank_multi_prime(matrix, workers=2, kernel="packed") == serial_ref
+        assert rank_multi_prime(matrix, workers=2, kernel="auto") == serial_ref
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,7 +129,7 @@ class TestWorkersTimesKernels:
     st.sampled_from(DEFAULT_PRIMES),
 )
 def test_hypothesis_packed_equals_reference(matrix, p):
-    assert rank_mod_p(matrix, p, kernel="packed") == rank_mod_p(
+    assert rank_mod_p(matrix, p, kernel="auto") == rank_mod_p(
         matrix, p, kernel="reference"
     )
 
@@ -154,6 +148,6 @@ def test_hypothesis_packed_equals_reference(matrix, p):
 )
 def test_hypothesis_max_residue_entries_at_mersenne(matrix):
     """Entries at the top of the residue range never corrupt the batch."""
-    assert rank_mod_p(matrix, MERSENNE, kernel="packed") == rank_mod_p(
+    assert rank_mod_p(matrix, MERSENNE, kernel="auto") == rank_mod_p(
         matrix, MERSENNE, kernel="reference"
     )

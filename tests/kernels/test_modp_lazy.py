@@ -19,7 +19,6 @@ from repro.kernels import lazy_reduction_safe, rank_mod_p_batched
 from repro.partitions.linalg import _rank_mod_p_python
 from repro.resilience import Budget
 
-needs_numpy = pytest.mark.skipif(not modp.HAVE_NUMPY, reason="numpy not available")
 
 INT64_MAX = 2**63 - 1
 MERSENNE = 2_147_483_647
@@ -64,7 +63,6 @@ def branch_taken(matrix, p):
     return seen[0]
 
 
-@needs_numpy
 class TestBranchChoice:
     def test_lazy_primes_reduce_lazily(self):
         matrix = [[(i * j + 1) % 7 for j in range(6)] for i in range(6)]
@@ -103,7 +101,6 @@ def low_rank(rng, rows, cols, rank, p, residues=None):
     ]
 
 
-@needs_numpy
 class TestAgainstReference:
     @pytest.mark.parametrize("p", LAZY_PRIMES + (MERSENNE,))
     @pytest.mark.parametrize("size", [2, 3, 9, 40])

@@ -4,7 +4,9 @@ The sparse engine changes the row representation, not the elimination:
 the pivot-column order mirrors the reference exactly, so ranks, budget
 tick counts, and exhaustion boundaries must agree on every input at
 every prime -- including p = 2, where it coexists with the GF(2)
-bitset engines.
+bitset engines. ``rank_mod_p`` never picks it (dense inputs run the
+batched engine whatever their density); the streamed pipeline runs it at
+odd primes.
 """
 
 from itertools import product
@@ -15,9 +17,6 @@ from hypothesis import strategies as st
 
 from repro.errors import BudgetExceededError
 from repro.kernels import (
-    SPARSE_DENSITY_CUTOFF,
-    SPARSE_MIN_CELLS,
-    matrix_density,
     rank_mod_p_sparse,
     rank_mod_p_sparse_rows,
     sparsify_rows,
@@ -38,11 +37,6 @@ class TestSparsifyRows:
         rows = sparsify_rows([[-1, 7, 5]], 5)
         assert rows == [{0: 4, 1: 2}]
         assert all(1 <= v < 5 for row in rows for v in row.values())
-
-    def test_density(self):
-        assert matrix_density([[0, 1], [1, 1]]) == 0.75
-        assert matrix_density([]) == 0.0
-        assert matrix_density([[], []]) == 0.0
 
 
 class TestExhaustiveSmall:
@@ -81,30 +75,23 @@ class TestKernelMode:
     def test_rank_mod_p_dispatch(self):
         _parts, matrix = build_m_matrix(4)
         for p in PRIMES:
-            assert rank_mod_p(matrix, p, kernel="sparse") == rank_mod_p(
-                matrix, p, kernel="reference"
-            )
+            ref = rank_mod_p(matrix, p, kernel="reference")
+            assert rank_mod_p_sparse(matrix, p) == rank_mod_p(matrix, p) == ref
 
-    def test_auto_dispatches_on_density(self):
-        # big and nearly empty: sparse; big and dense: stays batched
+    def test_auto_ignores_density(self):
+        # a nearly empty and a full matrix of one shape run the same engine
         side = 200
-        assert side * side >= SPARSE_MIN_CELLS
         thin = [[0] * side for _ in range(side)]
         for i in range(side):
             thin[i][i] = 1
-        assert matrix_density(thin) <= SPARSE_DENSITY_CUTOFF
-        assert _modp_engine(DEFAULT_PRIMES[0], "auto", thin) == "sparse"
         fat = [[1] * side for _ in range(side)]
-        assert _modp_engine(DEFAULT_PRIMES[0], "auto", fat) == "numpy-batched"
-
-    def test_auto_never_sparse_below_min_cells(self):
-        tiny = [[0, 1], [0, 0]]
-        assert _modp_engine(DEFAULT_PRIMES[0], "auto", tiny) == "numpy-batched"
-
-    def test_legacy_two_argument_dispatch_unchanged(self):
-        # the matrix-free form keeps the PR 5 behavior exactly
-        assert _modp_engine(DEFAULT_PRIMES[0], "auto") == "numpy-batched"
-        assert _modp_engine(2, "auto") == "gf2-packed"
+        for matrix in (thin, fat):
+            assert _modp_engine(DEFAULT_PRIMES[0], "auto", len(matrix)) == (
+                "numpy-batched"
+            )
+        assert rank_mod_p_sparse(thin, DEFAULT_PRIMES[0]) == rank_mod_p(
+            thin, DEFAULT_PRIMES[0]
+        ) == side
 
 
 class TestBudgetParity:
@@ -147,4 +134,3 @@ class TestBudgetParity:
 def test_hypothesis_sparse_equals_dense(matrix, p):
     ref = rank_mod_p(matrix, p, kernel="reference")
     assert rank_mod_p_sparse(matrix, p) == ref
-    assert rank_mod_p(matrix, p, kernel="sparse") == ref

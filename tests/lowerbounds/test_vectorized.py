@@ -6,17 +6,10 @@ import pytest
 
 from repro.lowerbounds import covers_and_pairs_for, forced_error_of_assignment
 from repro.lowerbounds.exhaustive import _scan_shard_python
-from repro.lowerbounds.vectorized import (
-    HAVE_NUMPY,
-    block_scores,
-    scan_assignments,
-)
+from repro.lowerbounds.vectorized import block_scores, scan_assignments
 from repro.resilience import Budget
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 
-
-@needs_numpy
 @pytest.mark.parametrize(
     "n,alphabet",
     [(3, ("0", "1")), (3, ("", "0", "1")), (4, ("0", "1")), (4, ("", "0", "1"))],
@@ -36,7 +29,6 @@ def test_block_scores_bit_identical_over_full_space(n, alphabet):
         assert float(errors[index]) == expected  # exact, no approx
 
 
-@needs_numpy
 @pytest.mark.parametrize("block_size", [1, 3, 1024])
 def test_scan_matches_python_scan_exactly(block_size):
     n, alphabet = 4, ("", "0", "1")
@@ -49,7 +41,6 @@ def test_scan_matches_python_scan_exactly(block_size):
     assert vec == py  # best (error, index), next_index, counts, exhausted
 
 
-@needs_numpy
 def test_scan_respects_shard_slices():
     n, alphabet = 4, ("0", "1")
     table = [(c, tuple(p)) for c, p in covers_and_pairs_for(n)]
@@ -63,7 +54,6 @@ def test_scan_respects_shard_slices():
     assert full[3] == left[3] + right[3]  # fooled counts are additive
 
 
-@needs_numpy
 def test_scan_budget_semantics_match_python_scan():
     n, alphabet = 3, ("0", "1")
     table = [(c, tuple(p)) for c, p in covers_and_pairs_for(n)]
@@ -77,20 +67,3 @@ def test_scan_budget_semantics_match_python_scan():
             block_size=1,
         )
         assert vec == py
-
-
-def test_scan_requires_numpy_or_raises():
-    if HAVE_NUMPY:
-        pytest.skip("numpy present; import-error path not reachable")
-    with pytest.raises(RuntimeError):
-        scan_assignments(3, ("0", "1"), [], 0, 8)
-
-
-def test_forced_vectorize_without_numpy_degrades_cleanly(monkeypatch):
-    """``vectorize=True`` on a numpy-less install silently runs python."""
-    import repro.lowerbounds.exhaustive as ex
-
-    monkeypatch.setattr(ex, "HAVE_NUMPY", False)
-    report = ex.universal_bound_id_oblivious(3, alphabet=("0", "1"), vectorize=True)
-    monkeypatch.undo()
-    assert report == ex.universal_bound_id_oblivious(3, alphabet=("0", "1"))

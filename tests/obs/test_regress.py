@@ -239,9 +239,9 @@ class TestKernelField:
 
     def test_kernel_field_recorded_and_validated(self):
         record = history_record(
-            [_Result("simulator", 0.01)], quick=True, ts=0.0, kernel="packed"
+            [_Result("simulator", 0.01)], quick=True, ts=0.0, kernel="reference"
         )
-        assert record["kernel"] == "packed"
+        assert record["kernel"] == "reference"
         assert validate_history_record(record) == []
         # absent kernel = a pre-kernels record, still valid (implies auto)
         legacy = _record({"simulator": 0.01})
@@ -258,21 +258,21 @@ class TestKernelField:
         )
 
     def test_kernel_modes_never_compared(self):
-        # a packed run against a reference-mode history: speedup, not baseline
+        # an auto run against a reference-mode history: speedup, not baseline
         records = [
             self._kernel_record(0.04, float(i), "reference") for i in range(5)
         ]
-        records.append(self._kernel_record(0.01, 99.0, "packed"))
+        records.append(self._kernel_record(0.01, 99.0, "auto"))
         findings = detect_regressions(records)
-        assert findings[0].status == "new"  # no packed baseline exists
+        assert findings[0].status == "new"  # no auto baseline exists
         # and a same-kernel baseline behaves exactly as before
         records.extend(
-            self._kernel_record(0.01, 100.0 + i, "packed") for i in range(4)
+            self._kernel_record(0.01, 100.0 + i, "auto") for i in range(4)
         )
-        records.append(self._kernel_record(0.05, 200.0, "packed"))
+        records.append(self._kernel_record(0.05, 200.0, "auto"))
         findings = detect_regressions(records)
         assert findings[0].status == "regressed"
-        assert findings[0].baseline_samples == 5  # only the packed records
+        assert findings[0].baseline_samples == 5  # only the auto records
 
     def test_legacy_records_count_as_auto(self):
         legacy = []

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.errors import BudgetExceededError
 from repro.information import estimate_protocol_information
 from repro.lowerbounds import universal_bound_id_oblivious
-from repro.lowerbounds.vectorized import HAVE_NUMPY
 from repro.partitions import build_m_matrix, rank_exact, rank_mod_p, rank_multi_prime
 from repro.resilience import Budget, fault_sweep
 from repro.twoparty import TrivialPartitionCompProtocol
@@ -36,7 +35,6 @@ def test_exhaustive_identical_across_worker_counts(workers):
     assert report == serial
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 @pytest.mark.parametrize("n", [3, 4])
 def test_exhaustive_vectorized_identical(n):
     serial = universal_bound_id_oblivious(n, alphabet=("", "0", "1"))
@@ -119,7 +117,6 @@ def test_exhaustive_budget_raise_parity_and_resume(tmp_path):
     )
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 def test_exhaustive_resume_crosses_kernels(tmp_path):
     """A python-scan checkpoint resumes under the vectorized kernel."""
     n, alphabet = 4, ("0", "1")
@@ -154,28 +151,25 @@ def _sampling_report(workers, samples=60, seed=11, n=4, **kwargs):
     return report, rng.getstate()
 
 
-def test_sampling_workers_one_is_the_golden_lean_path():
-    # workers=1 must be the byte-identical original lean loop.
-    golden, golden_rng = _sampling_report(None)
-    lean, lean_rng = _sampling_report(1)
-    assert lean == golden
-    assert lean_rng == golden_rng
+def test_sampling_workers_one_is_the_default_path():
+    default, default_rng = _sampling_report(None)
+    serial, serial_rng = _sampling_report(1)
+    assert serial == default
+    assert serial_rng == default_rng
 
 
 @pytest.mark.parametrize("workers", (2, 4))
 def test_sampling_identical_across_worker_counts(workers):
-    # The documented contract: sharded == serial *resilient* path, bit
-    # for bit (both sum the joint in sorted key order); the lean serial
-    # path may differ in float summation order only.
-    serial, serial_rng = _sampling_report(1, budget=Budget(max_units=10_000))
-    lean, lean_rng = _sampling_report(1)
+    # The documented contract: sharded == serial, budgeted or not, bit
+    # for bit (every path sums the joint in sorted key order).
+    budgeted, budgeted_rng = _sampling_report(1, budget=Budget(max_units=10_000))
+    serial, serial_rng = _sampling_report(1)
     parallel, parallel_rng = _sampling_report(workers)
-    assert parallel == serial
-    assert parallel.information_estimate == pytest.approx(
-        lean.information_estimate, rel=1e-12
-    )
+    assert parallel == serial == budgeted
+    assert parallel.information_estimate == serial.information_estimate
+    assert parallel.corrected_information == serial.corrected_information
     # the parent rng consumed the identical stream (pre-drawn inputs)
-    assert parallel_rng == serial_rng == lean_rng
+    assert parallel_rng == serial_rng == budgeted_rng
 
 
 def test_sampling_budget_resume_mid_fan_out(tmp_path):

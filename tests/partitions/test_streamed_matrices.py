@@ -3,7 +3,7 @@
 Streaming changes where rows live (packed bitsets / sparse dicts built
 block-by-block from partition pairs) but not what they are: ranks,
 budget ticks, and worker-count invariance must all match the dense
-list-of-lists pipeline on every family, kernel mode, and block size.
+list-of-lists pipeline on every family, engine, and block size.
 Also covers the shared memoized enumeration and its cache-hit counter.
 """
 
@@ -64,10 +64,20 @@ class TestStreamMatrixRows:
 
 class TestStreamedRanks:
     @pytest.mark.parametrize("n", [3, 4, 5])
-    @pytest.mark.parametrize("kernel", ["auto", "packed", "four-russians", "sparse"])
+    @pytest.mark.parametrize("kernel", ["auto"])
     def test_m_rank_matches_dense(self, n, kernel):
         dense = m_matrix_rank(n, streamed=False)
         assert streamed_matrix_rank(n, "m", kernel=kernel, block_rows=7) == dense
+
+    def test_m4ri_leg_matches_dense_packed(self):
+        # M_7 has 877 rows: past the M4RI threshold, so the streamed GF(2)
+        # rank runs M4RI; the dense packed bitset engine is the cross-check
+        from repro.kernels import rank_gf2
+        from repro.partitions.linalg import M4RI_ROW_THRESHOLD
+
+        _parts, matrix = build_m_matrix(7)
+        assert len(matrix) >= M4RI_ROW_THRESHOLD
+        assert streamed_matrix_rank_mod_p(7, 2, "m") == rank_gf2(matrix)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_e_rank_matches_dense(self, n):

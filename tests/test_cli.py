@@ -176,39 +176,38 @@ class TestWorkersFlag:
 class TestKernelFlag:
     """``--kernel`` switches engines without changing any paper-facing number."""
 
-    def test_ranks_packed_identical_to_reference(self, capsys):
+    def test_ranks_auto_identical_to_reference(self, capsys):
         assert main(["ranks", "--max-n", "4", "--kernel", "reference",
                      "--json"]) == 0
         reference = json.loads(capsys.readouterr().out.strip())
-        assert main(["ranks", "--max-n", "4", "--kernel", "packed",
+        assert main(["ranks", "--max-n", "4", "--kernel", "auto",
                      "--json"]) == 0
-        packed = json.loads(capsys.readouterr().out.strip())
-        assert packed == reference
+        auto = json.loads(capsys.readouterr().out.strip())
+        assert auto == reference
 
     def test_ranks_kernel_with_workers_identical(self, capsys):
         assert main(["ranks", "--max-n", "4", "--json"]) == 0
         default = json.loads(capsys.readouterr().out.strip())
         assert main(["ranks", "--max-n", "4", "--workers", "2",
-                     "--kernel", "packed", "--json"]) == 0
+                     "--kernel", "auto", "--json"]) == 0
         fanned = json.loads(capsys.readouterr().out.strip())
         assert fanned == default
 
     def test_unknown_kernel_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["ranks", "--max-n", "3", "--kernel", "fast"])
-        assert exc.value.code == 2
-        assert "--kernel" in capsys.readouterr().err
+        for kernel in ("fast", "packed", "four-russians", "sparse"):
+            with pytest.raises(SystemExit) as exc:
+                main(["ranks", "--max-n", "3", "--kernel", kernel])
+            assert exc.value.code == 2
+            assert "--kernel" in capsys.readouterr().err
 
     def test_ranks_new_kernels_and_streaming_identical(self, capsys):
         assert main(["ranks", "--max-n", "4", "--kernel", "reference",
                      "--json"]) == 0
         reference = json.loads(capsys.readouterr().out.strip())
         for flags in (
-            ["--kernel", "four-russians"],
-            ["--kernel", "sparse"],
-            ["--kernel", "four-russians", "--streamed", "on",
-             "--block-rows", "3"],
-            ["--kernel", "sparse", "--streamed", "on"],
+            ["--kernel", "auto"],
+            ["--streamed", "on", "--block-rows", "3"],
+            ["--streamed", "on", "--workers", "2"],
             ["--streamed", "off"],
         ):
             assert main(["ranks", "--max-n", "4", "--json", *flags]) == 0
@@ -237,10 +236,10 @@ class TestKernelFlag:
         assert record["kernel"] == "reference"
         assert record["workers"] == 1
 
-    def test_bench_kernels_spec_ok_under_packed(self, tmp_path, capsys):
+    def test_bench_kernels_spec_ok_under_auto(self, tmp_path, capsys):
         out = str(tmp_path / "results")
         assert main(["bench", "--quick", "--only", "kernels",
-                     "--kernel", "packed", "--out-dir", out]) == 0
+                     "--kernel", "auto", "--out-dir", out]) == 0
         payload = json.loads(
             (tmp_path / "results" / "BENCH_kernels.json").read_text()
         )
