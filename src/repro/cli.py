@@ -678,18 +678,24 @@ def _cmd_fault_sweep(args: argparse.Namespace) -> int:
     )
     from repro.resilience import validate_fault_sweep_payload
 
+    # Grid flags left unset fall back to the engine's defaults
+    # (``normalize_params``), so the CLI cannot drift from them.
+    grid = {
+        "algorithms": args.algorithms,
+        "kinds": args.kinds,
+        "rates": args.rates,
+        "n": args.n,
+        "trials": args.trials,
+        "seed": args.seed,
+    }
     if args.quick:
-        algorithms = ["neighbor_exchange", "flooding"]
-        kinds = list(args.kinds or ("bit_flip", "erasure", "crash"))
-        rates = [0.0, 0.1]
-        n = 6
-        trials = 4
-    else:
-        algorithms = list(args.algorithms)
-        kinds = list(args.kinds or ("bit_flip", "erasure", "crash"))
-        rates = [float(r) for r in args.rates]
-        n = args.n
-        trials = args.trials
+        grid.update(
+            algorithms=["neighbor_exchange", "flooding"],
+            rates=[0.0, 0.1],
+            n=6,
+            trials=4,
+        )
+    params = {key: value for key, value in grid.items() if value is not None}
     from contextlib import nullcontext
 
     live_scope = nullcontext()
@@ -704,18 +710,7 @@ def _cmd_fault_sweep(args: argparse.Namespace) -> int:
     try:
         with live_scope:
             result = execute(
-                EngineRequest(
-                    "fault-sweep",
-                    {
-                        "algorithms": algorithms,
-                        "kinds": kinds,
-                        "rates": rates,
-                        "n": n,
-                        "trials": trials,
-                        "seed": args.seed,
-                    },
-                    workers=_resolved_workers(args),
-                ),
+                EngineRequest("fault-sweep", params, workers=_resolved_workers(args)),
                 cache=cache,
                 options=EngineOptions(trace=trace),
             )
@@ -730,7 +725,8 @@ def _cmd_fault_sweep(args: argparse.Namespace) -> int:
             handle.write("\n")
     _emit(
         args,
-        f"fault-injection degradation sweep (n={n}, {trials} trials/point)",
+        f"fault-injection degradation sweep (n={payload['n']}, "
+        f"{payload['trials']} trials/point)",
         ["algorithm", "fault kind", "rate", "trials", "correct", "correctness", "faults", "mean rounds"],
         sweep_rows_from_payload(payload),
     )
@@ -1801,13 +1797,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sampling)
 
     p = sub.add_parser("fault-sweep", help=_help("fault-sweep"))
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--trials", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--rates",
         nargs="+",
-        default=["0.0", "0.01", "0.05", "0.1", "0.2"],
+        default=None,
         metavar="R",
         help="fault rates to sweep",
     )
@@ -1821,7 +1817,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithms",
         nargs="+",
-        default=["neighbor_exchange", "flooding", "boruvka", "sketch"],
+        default=None,
         metavar="ALGO",
         help="upper-bound algorithms to sweep",
     )

@@ -60,10 +60,10 @@ class RunResult:
     crashed_vertices:
         Vertex indices crash-stopped at any point during the run.
     failed_vertices:
-        Vertex indices whose node algorithm raised while processing
-        fault-corrupted input; such nodes fail-stop (silent forever,
+        Vertex indices whose node algorithm raised during a run under a
+        fault or network plan; such nodes fail-stop (silent forever,
         output ``None``). Always empty for clean runs, where node
-        exceptions propagate as they did before fault injection existed.
+        exceptions propagate.
     cost_summary:
         Per-run communication-cost record (total bits, rounds, and a
         per-vertex bits/silent-rounds breakdown -- see
@@ -118,11 +118,12 @@ class Simulator:
     early-stop round; pass ``trace`` (a :class:`repro.obs.RunTrace`) to
     stream structured per-round JSONL events.
 
-    Fault injection is likewise opt-in and costs one ``None`` check per
-    round when disabled: pass ``faults`` (a
+    Fault injection is likewise opt-in: pass ``faults`` (a
     :class:`repro.resilience.FaultPlan`) here or per-run to execute under
     a deterministic adversarial channel (bit flips, erasures, crash-stops
-    applied between broadcast and delivery). Adversarial runs route
+    applied between broadcast and delivery). Clean and adversarial runs
+    share one round loop; with no plan, delivery costs one ``None`` check
+    per edge and builds no channel state. Adversarial runs route
     delivery through a :class:`repro.net.NetworkManager`, so ``faults``
     is one pluggable delivery policy among several: pass ``network`` (a
     :class:`repro.net.NetworkPlan`) to add per-edge delay, duplication,
@@ -194,8 +195,10 @@ class Simulator:
         ``faults`` (default: the plan given at construction, usually None)
         runs the execution under a deterministic adversarial channel: the
         plan is applied between broadcast and delivery each round, so
-        per-receiver views can diverge. With no plan the clean path is a
-        single ``None`` check per round.
+        per-receiver views can diverge, and a node that raises fail-stops
+        (silent, output ``None``, listed in ``failed_vertices``). With no
+        fault or network plan each delivery is the sender's broadcast and
+        node exceptions propagate.
 
         ``network`` (default: the plan given at construction) routes
         delivery through per-edge :class:`repro.net.Channel` objects --
@@ -274,11 +277,13 @@ class Simulator:
     ) -> RunResult:
         """The round engine proper (observability already resolved).
 
-        Adversarial executions (any fault or network plan) route every
-        delivery through a :class:`repro.net.NetworkManager`; a bare
-        fault plan rides in a *pristine* network plan, whose manager
-        allocates no channels and adds no RNG draws, keeping faults-only
-        runs bit-identical to the pre-channel-layer engine.
+        One round loop serves every run. Adversarial executions (any
+        fault or network plan) route each delivery through a
+        :class:`repro.net.NetworkManager` and fail-stop raising nodes; a
+        bare fault plan rides in a *pristine* network plan, whose manager
+        allocates no channels and adds no RNG draws. Clean runs build no
+        manager: each receiver takes the sender's broadcast directly, and
+        node exceptions propagate.
         """
         n = instance.n
         if net_plan is not None:
@@ -339,8 +344,29 @@ class Simulator:
         net_cursor = 0
         session_fault_cursor = 0
         session_net_cursor = 0
+        # Under an adversarial channel a node choking on corrupted input is
+        # part of the degradation being measured, not a simulator bug: any
+        # exception a node raises fail-stops it (silent forever, output
+        # None). Clean runs let node exceptions propagate.
         failed_nodes: set = set()
-        done = all(node.finished() for node in nodes)
+
+        def all_finished() -> bool:
+            done = True
+            for v in range(n):
+                if v in failed_nodes:
+                    continue  # a failed node makes no further progress
+                try:
+                    if not nodes[v].finished():
+                        if net_run is None:
+                            return False  # nothing to fail-stop: stop early
+                        done = False
+                except Exception:
+                    if net_run is None:
+                        raise
+                    failed_nodes.add(v)
+            return done
+
+        done = all_finished()
         for t in range(1, rounds + 1):
             if done:
                 break
@@ -348,84 +374,50 @@ class Simulator:
             round_span = (
                 recorder.start("simulator.round", t=t) if recorder is not None else None
             )
-            if net_run is None:
-                # The clean hot path: identical to the pre-resilience engine
-                # behind local ``is not None`` checks.
-                if recorder is not None:
-                    phase_span = recorder.start("simulator.broadcast", t=t)
-                messages = tuple(
-                    self._model.validate_message(nodes[v].broadcast(t)) for v in range(n)
-                )
-                history.append(messages)
-                if recorder is not None:
-                    recorder.finish(phase_span)
-                    phase_span = recorder.start("simulator.deliver", t=t)
-                for v in range(n):
-                    received: Dict[int, str] = {}
-                    for u in range(n):
-                        if u == v:
-                            continue
-                        received[instance.port_to_peer(v, u)] = messages[u]
-                    nodes[v].receive(t, received)
-                    transcripts[v].append(RoundRecord(sent=messages[v], received=received))
-                if recorder is not None:
-                    recorder.finish(phase_span)
-                executed = t
-                done = all(node.finished() for node in nodes)
-            else:
-                # Adversarial channel. A node choking on corrupted input is
-                # part of the degradation being measured, not a simulator
-                # bug: any exception a node raises while computing against
-                # faulty messages fail-stops that node (silent forever,
-                # output None) instead of killing the execution.
-                if recorder is not None:
-                    phase_span = recorder.start("simulator.broadcast", t=t)
-                collected: List[str] = []
-                for v in range(n):
-                    if v in failed_nodes:
-                        collected.append("")
-                        continue
+            if recorder is not None:
+                phase_span = recorder.start("simulator.broadcast", t=t)
+            collected: List[str] = []
+            for v in range(n):
+                message = ""
+                if v not in failed_nodes:
                     try:
-                        collected.append(
-                            self._model.validate_message(nodes[v].broadcast(t))
-                        )
+                        message = self._model.validate_message(nodes[v].broadcast(t))
                     except Exception:
+                        if net_run is None:
+                            raise
                         failed_nodes.add(v)
-                        collected.append("")
+                collected.append(message)
+            messages = tuple(collected)
+            if net_run is not None:
                 # Sender-side faults (crash-stop) first, then the per-edge
                 # delivery pipeline (fault filter, then channel) so
                 # port-level views can diverge.
-                messages = net_run.filter_broadcasts(t, tuple(collected))
-                history.append(messages)
-                if recorder is not None:
-                    recorder.finish(phase_span)
-                    phase_span = recorder.start("simulator.deliver", t=t)
-                for v in range(n):
-                    received = {}
-                    for u in range(n):
-                        if u == v:
-                            continue
+                messages = net_run.filter_broadcasts(t, messages)
+            history.append(messages)
+            if recorder is not None:
+                recorder.finish(phase_span)
+                phase_span = recorder.start("simulator.deliver", t=t)
+            for v in range(n):
+                received: Dict[int, str] = {}
+                for u in range(n):
+                    if u != v:
                         received[instance.port_to_peer(v, u)] = (
-                            net_run.deliver(t, u, v, messages[u])
+                            messages[u]
+                            if net_run is None
+                            else net_run.deliver(t, u, v, messages[u])
                         )
-                    if v not in failed_nodes:
-                        try:
-                            nodes[v].receive(t, received)
-                        except Exception:
-                            failed_nodes.add(v)
-                    transcripts[v].append(RoundRecord(sent=messages[v], received=received))
-                if recorder is not None:
-                    recorder.finish(phase_span)
-                executed = t
-                done = True
-                for v in range(n):
-                    if v in failed_nodes:
-                        continue  # a failed node makes no further progress
+                if v not in failed_nodes:
                     try:
-                        if not nodes[v].finished():
-                            done = False
+                        nodes[v].receive(t, received)
                     except Exception:
+                        if net_run is None:
+                            raise
                         failed_nodes.add(v)
+                transcripts[v].append(RoundRecord(sent=messages[v], received=received))
+            if recorder is not None:
+                recorder.finish(phase_span)
+            executed = t
+            done = all_finished()
             if ledger is not None:
                 ledger.record_round(t, messages)
             if observing:
@@ -548,23 +540,20 @@ class Simulator:
                 end_fields["delivery_anomalies"] = net_run.events_injected
             trace.emit("run_end", **end_fields)
 
-        if net_run is None:
-            outputs = tuple(nodes[v].output() for v in range(n))
-        else:
-            collected_out: List[Any] = []
-            for v in range(n):
-                if v in failed_nodes:
-                    collected_out.append(None)
-                    continue
+        outputs: List[Any] = []
+        for v in range(n):
+            output = None
+            if v not in failed_nodes:
                 try:
-                    collected_out.append(nodes[v].output())
+                    output = nodes[v].output()
                 except Exception:
+                    if net_run is None:
+                        raise
                     failed_nodes.add(v)
-                    collected_out.append(None)
-            outputs = tuple(collected_out)
+            outputs.append(output)
         return RunResult(
             instance=instance,
-            outputs=outputs,
+            outputs=tuple(outputs),
             transcripts=tuple(transcripts),
             rounds_executed=executed,
             broadcast_history=tuple(history),

@@ -281,8 +281,8 @@ def universal_bound_id_oblivious(
     for the class.
 
     ``workers`` fans the enumeration out over a deterministic
-    :class:`repro.parallel.ShardPlan` (``workers=1``, the default, keeps
-    the original in-process loop byte-for-byte). ``vectorize`` selects
+    :class:`repro.parallel.ShardPlan` (``workers=1``, the default, runs
+    the in-process enumeration loop). ``vectorize`` selects
     the numpy block-scoring kernel
     (:mod:`repro.lowerbounds.vectorized`); ``None`` enables it when
     ``workers > 1``. Both paths
@@ -296,8 +296,7 @@ def universal_bound_id_oblivious(
     When ``metrics`` is given (or a registry is installed process-wide
     via :func:`repro.obs.use_registry`), the search records enumeration
     throughput (``exhaustive.assignments_enumerated`` and the
-    ``exhaustive.instances_per_sec`` gauge) and fooled-instance counts;
-    the fully-disabled path keeps its original lean loop and pays nothing.
+    ``exhaustive.instances_per_sec`` gauge) and fooled-instance counts.
 
     Resilience (all opt-in):
 
@@ -331,8 +330,8 @@ def universal_bound_id_oblivious(
     interrupted + resumed population run still summarizes every
     assignment exactly once; resuming a *pre-population* checkpoint with
     ``population=True`` starts the sketches fresh (they then cover only
-    the post-resume assignments). The default (``False``) leaves the
-    lean loop untouched.
+    the post-resume assignments). The default (``False``) skips the
+    sketches.
 
     ``shard_cache`` (a :class:`repro.cache.ShardCache` bound to this
     request's normalized params) memoizes completed shards on the
@@ -421,27 +420,11 @@ def _universal_bound_impl(
                 f"checkpoint {resume!r} has malformed exhaustive state: {exc}"
             ) from exc
 
-    resilient = budget is not None or checkpoint_path is not None
     # Unconditional: the timestamp is cheap, and taking it only when a
     # consumer happens to be installed made ``elapsed`` silently garbage
     # the moment a new reader was added (see the regression test in
     # tests/lowerbounds/test_exhaustive_timing.py).
     start = time.perf_counter()
-
-    if metrics is None and not resilient and not population:
-        # The original lean loop: nothing per-iteration but the math.
-        with span("exhaustive.enumerate", resilient=False):
-            for assignment in itertools.product(alphabet, repeat=n):
-                err = forced_error_of_assignment(n, assignment, covers_and_pairs)
-                if best is None or err < best:
-                    best = err
-                    best_assignment = assignment
-        return UniversalBoundReport(
-            n=n,
-            class_size=len(alphabet) ** n,
-            minimum_forced_error=best if best is not None else 0.0,
-            worst_assignment=best_assignment,
-        )
 
     index = start_index
     checkpointer: Optional[Checkpointer] = None
@@ -483,7 +466,7 @@ def _universal_bound_impl(
     iterator = itertools.product(alphabet, repeat=n)
     if start_index:
         iterator = itertools.islice(iterator, start_index, None)
-    with span("exhaustive.enumerate", resilient=resilient, start_index=start_index):
+    with span("exhaustive.enumerate", start_index=start_index):
         try:
             for assignment in iterator:
                 err, fooled = _forced_error_and_fooled(n, assignment, covers_and_pairs)

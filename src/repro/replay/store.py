@@ -37,12 +37,11 @@ Crash safety is the trace contract plus two session-specific pieces:
   ``interrupted`` ``session_end`` on SIGINT/SIGTERM -- a killed run
   replays cleanly up to its last complete step.
 
-Parallel recording: workers cannot share one append stream, so sharded
-engines write *segment files* (``<path>.shard-<k>``) in completion order
-and :meth:`SessionStore.merge_shard_steps` folds them into the main log
-in shard-index order -- the same order-invariance discipline as the
-:mod:`repro.parallel.merge` monoids, so the recorded session is
-independent of worker scheduling.
+Parallel recording: a step is always written by the parent process.
+Sharded engines hand each finished unit back to the parent, which appends
+its step once every earlier unit has finished, so the log is in unit
+order for every worker count and an interrupted run keeps a replayable
+prefix.
 """
 
 from __future__ import annotations
@@ -112,9 +111,7 @@ class SessionStore:
         self._lock = threading.RLock()
         self._seq = 0
         self._steps = 0
-        self._path: Optional[str] = None
         if isinstance(sink, (str, bytes)):
-            self._path = os.fspath(sink)
             self._stream: TextIO = open(sink, "a", encoding="utf-8", buffering=1)
             self._owns_stream = True
         else:
@@ -124,7 +121,6 @@ class SessionStore:
         self._closed = False
         self._started = False
         self._finished = False
-        self._shard_buffers: Dict[int, List[Dict[str, Any]]] = {}
         self._flush_handle = register_flush_hook(self.interrupt)
         self._emit("trace_start", schema_version=TRACE_SCHEMA_VERSION)
 
@@ -283,70 +279,6 @@ class SessionStore:
     @property
     def closed(self) -> bool:
         return self._closed
-
-    # -- shard segments ---------------------------------------------------
-    def shard_segment_path(self, shard: int) -> Optional[str]:
-        """Where shard ``shard`` appends its steps (None for stream sinks)."""
-        if self._path is None:
-            return None
-        return f"{self._path}.shard-{shard}"
-
-    def write_shard_step(self, shard: int, name: str, data: Mapping[str, Any]) -> None:
-        """Append one step to shard ``shard``'s segment, in completion order.
-
-        Segments are plain JSONL (one ``{"name", "data"}`` object per
-        line) with no envelope: step numbering is assigned only at merge
-        time, in shard-index order, so the final log is independent of
-        which worker finished first. Stream-sink stores buffer segments
-        in memory instead (tests, in-process recording).
-        """
-        path = self.shard_segment_path(shard)
-        entry = {"name": name, "data": dict(data)}
-        if path is None:
-            with self._lock:
-                self._shard_buffers.setdefault(shard, []).append(entry)
-            return
-        line = json.dumps(entry, sort_keys=False, default=_jsonable) + "\n"
-
-        def attempt() -> None:
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
-
-        retry_transient(attempt)
-
-    def merge_shard_steps(self, shards: int) -> int:
-        """Fold segments 0..shards-1 into the main log; returns steps merged.
-
-        Shard-index order makes the merge order-invariant (the
-        :mod:`repro.parallel.merge` discipline); consumed segment files
-        are deleted so a sealed session is a single self-contained log.
-        """
-        merged = 0
-        for shard in range(shards):
-            path = self.shard_segment_path(shard)
-            if path is None:
-                entries = self._shard_buffers.pop(shard, [])
-            else:
-                entries = []
-                try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        for line in handle:
-                            line = line.strip()
-                            if line:
-                                entries.append(json.loads(line))
-                except FileNotFoundError:
-                    entries = []
-            for entry in entries:
-                self.write_step(entry["name"], entry["data"])
-                merged += 1
-            if path is not None:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-        return merged
-
 
 def _jsonable(value: Any) -> Any:
     """json.dumps fallback for tuples-in-dicts and exotic values."""

@@ -210,3 +210,62 @@ class TestAccounting:
         inst = BCCInstance.kt0_from_graph(one_cycle(4))
         res = Simulator(BCC1_KT0).run(inst, factory, 1)
         assert decision_of_run(res) == NO
+
+
+class RaisingAt(SilentAlgorithm):
+    """Silent, except that it raises from the one named node method."""
+
+    def __init__(self, method):
+        self.method = method
+
+    def _maybe_raise(self, method):
+        if method == self.method:
+            raise RuntimeError(f"boom in {method}")
+
+    def broadcast(self, round_index):
+        self._maybe_raise("broadcast")
+        return super().broadcast(round_index)
+
+    def receive(self, round_index, messages):
+        self._maybe_raise("receive")
+
+    def finished(self):
+        self._maybe_raise("finished")
+        return False
+
+    def output(self):
+        self._maybe_raise("output")
+        return super().output()
+
+
+@pytest.mark.parametrize("method", ["broadcast", "receive", "finished", "output"])
+class TestNodeExceptions:
+    """Each node call site: clean runs propagate, plan runs fail-stop."""
+
+    @staticmethod
+    def _factory(method):
+        created = []
+
+        def factory():
+            # vertex index 0 is built first; only it raises
+            node = RaisingAt(method if not created else None)
+            created.append(node)
+            return node
+
+        return factory
+
+    def test_propagates_on_clean_run(self, method):
+        inst = BCCInstance.kt0_from_graph(one_cycle(4))
+        with pytest.raises(RuntimeError, match=f"boom in {method}"):
+            Simulator(BCC1_KT0).run(inst, self._factory(method), 2)
+
+    def test_fail_stops_under_network_plan(self, method):
+        from repro.net import NetworkPlan
+
+        inst = BCCInstance.kt0_from_graph(one_cycle(4))
+        res = Simulator(BCC1_KT0).run(
+            inst, self._factory(method), 2, network=NetworkPlan()
+        )
+        assert res.rounds_executed == 2
+        assert res.outputs == (None, YES, YES, YES)
+        assert res.failed_vertices == (0,)

@@ -205,32 +205,3 @@ class TestRetryOnWrite:
         stream = _FlakyStream(failures=99)
         with pytest.raises(OSError):
             SessionStore(stream, run_id="fixed")  # trace_start never lands
-
-
-class TestShardSegments:
-    def test_merge_is_shard_index_ordered(self):
-        buffer = io.StringIO()
-        store = SessionStore(buffer, run_id="fixed")
-        store.start("fault-sweep", {})
-        # completion order 2, 0, 1 -- merge must still be 0, 1, 2
-        store.write_shard_step(2, "cell/c", {"value": "c"})
-        store.write_shard_step(0, "cell/a", {"value": "a"})
-        store.write_shard_step(1, "cell/b", {"value": "b"})
-        assert store.merge_shard_steps(3) == 3
-        store.finish()
-        session = read_session(io.StringIO(buffer.getvalue()))
-        assert [s["name"] for s in session.steps] == ["cell/a", "cell/b", "cell/c"]
-
-    def test_path_segments_cleaned_up(self, tmp_path):
-        path = str(tmp_path / "s.jsonl")
-        store = SessionStore(path, run_id="fixed")
-        store.start("fault-sweep", {})
-        store.write_shard_step(0, "cell/a", {"value": 1})
-        segment = store.shard_segment_path(0)
-        import os
-
-        assert os.path.exists(segment)
-        store.merge_shard_steps(1)
-        assert not os.path.exists(segment)
-        store.finish()
-        assert read_session(path).step_count == 1

@@ -82,3 +82,26 @@ class TestSweepValidation:
     def test_tiny_n_rejected(self):
         with pytest.raises(FaultInjectionError):
             _small_sweep(n=4)
+
+
+class TestSweepTrace:
+    @staticmethod
+    def _traced_events(workers):
+        import io
+
+        from repro.obs import RunTrace, read_trace
+
+        sink = io.StringIO()
+        trace = RunTrace(sink, run_id="fixed")
+        _small_sweep(trials=2, trace=trace, workers=workers)
+        trace.close()
+        untimed = ("ts", "wall_seconds")
+        return [
+            {key: value for key, value in event.items() if key not in untimed}
+            for event in read_trace(io.StringIO(sink.getvalue()))
+        ]
+
+    def test_trace_is_independent_of_workers(self):
+        serial = self._traced_events(1)
+        assert [e["event"] for e in serial].count("run_start") == 8  # 4 cells x 2
+        assert self._traced_events(2) == serial

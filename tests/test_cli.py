@@ -158,6 +158,37 @@ class TestWorkersFlag:
         parallel = json.loads(capsys.readouterr().out.strip())
         assert parallel == serial  # curves are rate-deterministic
 
+    @pytest.mark.parametrize(
+        "flags,expected",
+        [
+            ([], {}),
+            (["--quick"], {"algorithms": ["neighbor_exchange", "flooding"],
+                           "rates": [0.0, 0.1], "n": 6, "trials": 4}),
+            (["--trials", "3", "--rates", "0", "0.5", "--kinds", "crash"],
+             {"trials": 3, "rates": [0.0, 0.5], "kinds": ["crash"]}),
+        ],
+    )
+    def test_fault_sweep_grid_defaults_come_from_the_engine(
+        self, monkeypatch, flags, expected
+    ):
+        import repro.engine
+        from repro.engine import normalize_params
+
+        class Captured(Exception):
+            pass
+
+        def capture(request, **_kwargs):
+            raise Captured(request)
+
+        monkeypatch.setattr(repro.engine, "execute", capture)
+        with pytest.raises(Captured) as info:
+            main(["fault-sweep"] + flags)
+        request = info.value.args[0]
+        assert request.kind == "fault-sweep"
+        assert normalize_params("fault-sweep", request.params) == normalize_params(
+            "fault-sweep", expected
+        )
+
     def test_negative_workers_exits_two(self, capsys):
         assert main(["exhaustive", "--n", "3", "--workers", "-2"]) == 2
         assert "error:" in capsys.readouterr().err
