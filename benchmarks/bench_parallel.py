@@ -9,18 +9,24 @@ the numbers are comparable:
    (``workers=4`` vs serial; on a single-core CI runner the answer is
    honestly *negative*, which is exactly why the perf gate keys bench
    history on worker count instead of asserting a speedup here.)
-3. What does the vectorized numpy kernel buy? (This is the
-   machine-independent win: one python-level pass per block instead of
-   per assignment.)
+3. What does the vectorized numpy kernel buy over the pure-python
+   oracle scan? (This is the machine-independent win: one python-level
+   pass per block instead of per assignment.)
 
-Correctness -- bit-identical reports across all three execution modes --
-is asserted; speed is only printed.
+Correctness -- bit-identical results across worker counts and against
+the oracle -- is asserted; speed is only printed.
 """
 
 import pytest
 
 from repro.analysis import print_table
-from repro.lowerbounds import clear_pair_cache, universal_bound_id_oblivious
+from repro.lowerbounds import (
+    clear_pair_cache,
+    covers_and_pairs_for,
+    universal_bound_id_oblivious,
+)
+from repro.lowerbounds.exhaustive import _scan_shard_python
+from repro.lowerbounds.vectorized import scan_assignments
 from repro.parallel import MIN_KEYED, ShardPlan
 
 
@@ -54,11 +60,7 @@ def test_fanout(benchmark, workers):
     clear_pair_cache()
     serial = universal_bound_id_oblivious(n, alphabet=alphabet)
     report = benchmark(
-        universal_bound_id_oblivious,
-        n,
-        alphabet=alphabet,
-        workers=workers,
-        vectorize=False,
+        universal_bound_id_oblivious, n, alphabet=alphabet, workers=workers
     )
     print_table(
         f"P2: exhaustive fan-out (n={n}, |alphabet|={len(alphabet)}, workers={workers})",
@@ -77,15 +79,15 @@ def test_fanout(benchmark, workers):
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_vectorized_kernel(benchmark, n):
-    """Vectorized vs python scan at n=6/7: the machine-independent win."""
-    clear_pair_cache()
-    serial = universal_bound_id_oblivious(n, alphabet=("0", "1"))
-    report = benchmark(
-        universal_bound_id_oblivious, n, alphabet=("0", "1"), vectorize=True
-    )
+    """Vectorized scan vs the python oracle scan at n=6/7."""
+    alphabet = ("0", "1")
+    table = covers_and_pairs_for(n)
+    total = len(alphabet) ** n
+    oracle = _scan_shard_python(n, alphabet, table, 0, total, None)
+    result = benchmark(scan_assignments, n, alphabet, table, 0, total)
     print_table(
         f"P2: vectorized exhaustive scan (n={n}, binary alphabet)",
         ["n", "class size", "min forced error", "identical to python scan"],
-        [[n, report.class_size, report.minimum_forced_error, report == serial]],
+        [[n, total, result[0][0], result == oracle]],
     )
-    assert report == serial
+    assert result == oracle

@@ -548,7 +548,7 @@ def _cmd_exhaustive(args: argparse.Namespace) -> int:
             result = execute(
                 EngineRequest(
                     "exhaustive",
-                    {"n": args.n, "vectorize": args.vectorize},
+                    {"n": args.n},
                     workers=_resolved_workers(args),
                 ),
                 cache=cache,
@@ -1757,15 +1757,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         help="stop (budget exhausted, exit 3) after K assignments",
-    )
-    p.add_argument(
-        "--vectorize",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "use the numpy block-scoring kernel (default: auto -- on when "
-            "--workers > 1)"
-        ),
     )
     _add_workers_flag(p)
     _add_resilience_flags(p)

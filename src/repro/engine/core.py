@@ -156,7 +156,6 @@ def _run_exhaustive(
         checkpoint_path=checkpoint_path,
         resume=resume,
         workers=int(workers),
-        vectorize=params.get("vectorize"),
         population=bool(params.get("population", False)),
         shard_cache=shard_cache,
     )
@@ -488,7 +487,9 @@ def execute(
         _emit_cache_event(opts.trace, "miss", kind, key)
 
     shard_cache = None
-    if use_cache and kind == "exhaustive":
+    if use_cache and kind == "exhaustive" and workers > 1:
+        # In process, the request entry alone memoizes the search;
+        # per-shard entries would only add lookups and writes.
         from repro.cache.shards import ShardCache
 
         shard_cache = ShardCache(

@@ -1,7 +1,7 @@
 """Vectorized (numpy) scoring kernel for the exhaustive universal-bound search.
 
-The pure-python inner loop of
-:func:`repro.lowerbounds.exhaustive.universal_bound_id_oblivious` scores
+The reference scorer
+(:func:`repro.lowerbounds.exhaustive.forced_error_of_assignment`) scores
 one broadcast assignment at a time: for every one-cycle cover, count the
 disconnecting directed pairs the assignment *fools* (head IDs and tail
 IDs agree under the assignment), then charge the optimal output rule the
@@ -42,7 +42,7 @@ def _digit_block(base: int, n: int, start: int, stop: int):
 
     Row ``i`` holds the base-``base`` digits of ``start + i``,
     most-significant first -- exactly the ``itertools.product`` order the
-    serial enumeration walks.
+    enumeration walks.
     """
     idx = _np.arange(start, stop, dtype=_np.int64)
     pows = base ** _np.arange(n - 1, -1, -1, dtype=_np.int64)
@@ -145,12 +145,13 @@ def scan_assignments(
 
     Returns ``(best, next_index, enumerated, fooled_total, exhausted)``
     where ``best`` is ``(error, global_index)`` with ties broken toward
-    the lowest index (the serial loop's first-strict-improvement rule),
+    the lowest index (a one-at-a-time scan's first-strict-improvement rule),
     ``next_index`` is where a resume should continue, and ``exhausted``
     reports whether ``budget`` (a :class:`repro.resilience.Budget`)
     tripped before ``stop``. The budget is ticked once per assignment
     (in block-sized batches), so ``--max-assignments`` accounting is
-    identical to the serial path's.
+    identical to a one-at-a-time scan's, and its wall clock is checked
+    before every block, so a deadline overshoots by at most one block.
 
     ``sketches`` (an ``(error quantile sketch, fooled moments sketch)``
     pair from :mod:`repro.obs.sketches`) is updated in place with one
@@ -168,6 +169,10 @@ def scan_assignments(
     while pos < stop:
         limit = min(block_size, stop - pos)
         if budget is not None:
+            try:
+                budget.check()
+            except BudgetExceededError:
+                return best, pos, enumerated, fooled_total, True
             remaining = budget.remaining_units()
             if remaining is not None:
                 if remaining <= 0:

@@ -10,15 +10,17 @@ what makes sharded checkpoints resumable and sharded runs reproducible.
 
 The plan also knows how to split a cooperative
 :class:`repro.resilience.Budget` across its shards
-(:func:`split_budget`): work units are divided evenly (remainder to the
-earliest shards, preserving enumeration-order semantics) and the
-wall-clock allowance is shared (every shard inherits the same remaining
-deadline, since shards run concurrently, not sequentially).
+(:func:`split_budget`): work units go to the earliest shards first, so a
+budget of K units covers exactly the first K units in enumeration order
+whatever the shard count, and every shard shares the parent's absolute
+wall-clock deadline, whether the shards run concurrently or one after
+another.
 """
 
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -65,18 +67,31 @@ class ShardBudget:
     """The picklable budget slice handed to one shard's worker.
 
     ``max_units`` caps the shard's work units (None = uncapped);
-    ``wall_seconds`` is the remaining wall-clock allowance at dispatch
-    time (None = no deadline). Workers rebuild a real
-    :class:`repro.resilience.Budget` from this via :meth:`to_budget`.
+    ``deadline`` is the parent's absolute ``time.monotonic()`` deadline
+    (None = no wall limit). ``CLOCK_MONOTONIC`` is system-wide, so forked
+    workers read the same clock as the parent. Workers check
+    :meth:`exhausted` first, then rebuild a real
+    :class:`repro.resilience.Budget` via :meth:`to_budget`.
     """
 
     max_units: Optional[int]
-    wall_seconds: Optional[float]
+    deadline: Optional[float]
+
+    def exhausted(self) -> bool:
+        """True when the shard may do no work: no units, or past the deadline."""
+        return self.max_units == 0 or (
+            self.deadline is not None and time.monotonic() >= self.deadline
+        )
 
     def to_budget(self) -> Optional[Budget]:
-        if self.max_units is None and self.wall_seconds is None:
+        if self.max_units is None and self.deadline is None:
             return None
-        return Budget(wall_seconds=self.wall_seconds, max_units=self.max_units)
+        wall = None
+        if self.deadline is not None:
+            # A deadline passing right after exhausted() still yields a
+            # valid Budget, one that trips at its first clock read.
+            wall = max(self.deadline - time.monotonic(), 1e-9)
+        return Budget(wall_seconds=wall, max_units=self.max_units)
 
 
 class ShardPlan:
@@ -204,45 +219,28 @@ def split_budget(
 ) -> List[Optional[ShardBudget]]:
     """Split a parent budget across shards of the given sizes.
 
-    * **Work units**: the parent's *remaining* units are divided evenly
-      across the shards (remainder to the earliest shards), but no shard
-      is handed more units than it has work -- the surplus cascades to
-      later shards so a nearly-done resume still uses its full allowance.
-    * **Wall clock**: every shard inherits the parent's full remaining
-      wall allowance (shards run concurrently; a shared deadline is the
-      faithful translation of "stop after S seconds").
+    * **Work units**: the parent's *remaining* units go to the earliest
+      shards first -- each takes ``min(size, left)`` -- so a budget of K
+      units covers exactly the first K units of the pending work, the
+      same prefix a one-at-a-time scan would cover, for every shard
+      count.
+    * **Wall clock**: every shard shares the parent's absolute deadline,
+      so shards that run one after another (in process) or start late
+      (a busy pool) get only what is left of the allowance.
 
     Returns one :class:`ShardBudget` (or None, when the parent is None)
-    per shard. A parent with no remaining units yields zero-unit shard
-    budgets, which workers treat as "exhausted before starting".
+    per shard. Shards past the unit prefix get zero-unit budgets, which
+    workers treat as exhausted before starting.
     """
     if budget is None:
         return [None] * len(sizes)
-    remaining_units = budget.remaining_units()
-    wall = budget.remaining_seconds()
-    if remaining_units is None:
-        return [ShardBudget(max_units=None, wall_seconds=wall) for _ in sizes]
-    k = len(sizes)
-    allocations: List[int] = []
-    left = remaining_units
-    for i, size in enumerate(sizes):
-        shards_left = k - i
-        share = -(-left // shards_left) if shards_left else 0  # ceil split
-        allocation = min(size, share, left)
-        left -= allocation
-        allocations.append(allocation)
-    # Cascade any stranded surplus (an early shard capped by its fair
-    # share while a later, smaller shard was capped by its size) back to
-    # shards still short of their work, earliest first -- conserving
-    # units: sum(allocations) == min(remaining, sum(sizes)).
-    if left:
+    left = budget.remaining_units()
+    allocations: List[Optional[int]] = [None] * len(sizes)
+    if left is not None:
         for i, size in enumerate(sizes):
-            if left <= 0:
-                break
-            add = min(size - allocations[i], left)
-            allocations[i] += add
-            left -= add
+            allocations[i] = min(size, left)
+            left -= allocations[i]
     return [
-        ShardBudget(max_units=allocation, wall_seconds=wall)
+        ShardBudget(max_units=allocation, deadline=budget.deadline)
         for allocation in allocations
     ]

@@ -205,11 +205,7 @@ def _rank_prime_worker(payload: tuple) -> dict:
     matrix, p, shard_budget, kernel = payload
     budget = None
     if shard_budget is not None:
-        exhausted_before_start = shard_budget.max_units == 0 or (
-            shard_budget.wall_seconds is not None
-            and shard_budget.wall_seconds <= 0
-        )
-        if exhausted_before_start:
+        if shard_budget.exhausted():
             return {"rank": 0, "units": 0, "exhausted": True}
         budget = shard_budget.to_budget()
     try:
@@ -240,9 +236,10 @@ def rank_multi_prime(
     prime, capped by the pool size); the max-merge
     (:data:`repro.parallel.MAX_INT`) is order-invariant, so the value is
     independent of worker count and completion order and equal to the
-    serial loop's. The parent ``budget`` is split across primes
-    (:func:`repro.parallel.split_budget`) and re-ticked with the columns
-    the workers consumed; any shard exhaustion -- or the re-tick itself
+    serial loop's. Each prime's shard gets its own work size plus one
+    unit, capped by the parent ``budget``'s remaining units, and shares
+    its wall-clock deadline; the parent re-ticks the columns the workers
+    consumed, and any shard exhaustion -- or the re-tick itself
     tripping -- raises :class:`~repro.errors.BudgetExceededError`, just
     as the serial sequential eliminations would (no partial: an
     unfinished elimination certifies nothing).
@@ -276,12 +273,11 @@ def rank_multi_prime(
         shard_budgets: list = [None] * len(primes)
     else:
         remaining = budget.remaining_units()
-        wall = budget.remaining_seconds()
         per_shard = (
             None if remaining is None else min(cols_ + 1, remaining)
         )
         shard_budgets = [
-            ShardBudget(max_units=per_shard, wall_seconds=wall)
+            ShardBudget(max_units=per_shard, deadline=budget.deadline)
             for _ in primes
         ]
     payloads = [(wire, p, sb, kernel) for p, sb in zip(primes, shard_budgets)]

@@ -74,6 +74,13 @@ class Budget:
             return None
         return max(0, self.max_units - self._units)
 
+    @property
+    def deadline(self) -> Optional[float]:
+        """The absolute ``time.monotonic()`` at which the wall limit trips."""
+        if self.wall_seconds is None:
+            return None
+        return self._started + self.wall_seconds
+
     def remaining_seconds(self) -> Optional[float]:
         if self.wall_seconds is None:
             return None

@@ -11,7 +11,7 @@ computation instead of silently producing garbage:
 
     {
       "checkpoint_version": 1,
-      "kind": "exhaustive",            // which search wrote it
+      "kind": "exhaustive.sharded",    // which search wrote it
       "created_unix": 1754464000.1,
       "params": {"n": 6, "alphabet": ["", "0", "1"]},
       "state": { ... search-specific resumable state ... }

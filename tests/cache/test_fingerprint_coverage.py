@@ -40,7 +40,7 @@ REQUESTS = {
             "network": {"max_delay": 1, "duplicate_rate": 0.2, "reorder": True, "seed": 5},
         },
     ],
-    "exhaustive": [{"n": 4}, {"n": 4, "vectorize": False, "population": True}],
+    "exhaustive": [{"n": 4}, {"n": 4, "population": True}],
     "sampling": [{"n": 4, "samples": 20, "seed": 1}],
     "ranks": [
         {"m_ns": [3, 4], "e_ns": [4]},

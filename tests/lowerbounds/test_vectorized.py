@@ -67,3 +67,17 @@ def test_scan_budget_semantics_match_python_scan():
             block_size=1,
         )
         assert vec == py
+
+
+def test_scan_checks_the_wall_clock_before_each_block(monkeypatch):
+    # a clock that advances 0.4 s per read: the budget starts at 0.0,
+    # blocks one and two start at 0.4 and 0.8, block three finds 1.2
+    reads = iter(i * 0.4 for i in range(1000))
+    monkeypatch.setattr("repro.resilience.budget.time.monotonic", lambda: next(reads))
+    n, alphabet = 4, ("0", "1")
+    table = [(c, tuple(p)) for c, p in covers_and_pairs_for(n)]
+    budget = Budget(wall_seconds=1.0)
+    _best, pos, enumerated, _fooled, exhausted = scan_assignments(
+        n, alphabet, table, 0, 16, budget=budget, block_size=4
+    )
+    assert (pos, enumerated, exhausted) == (8, 8, True)

@@ -52,6 +52,7 @@ class TestSpansCommand:
         text = capsys.readouterr().out
         assert "exhaustive.search" in text
         assert "exhaustive.enumerate" in text  # tree and hotspots both render
+        assert "parallel.shard" in text  # one enumerate span per shard
         with open(out, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
         assert validate_span_tree_payload(payload) == []

@@ -396,12 +396,24 @@ class TestEnginePopulationParity:
     def test_exhaustive_population_worker_and_kernel_invariant(self):
         from repro.lowerbounds.exhaustive import universal_bound_id_oblivious
 
+        from repro.lowerbounds.exhaustive import (
+            _new_population,
+            _population_state,
+            _scan_shard_python,
+            covers_and_pairs_for,
+        )
+
         kwargs = dict(alphabet=("0", "1"), population=True)
-        serial = universal_bound_id_oblivious(4, vectorize=False, **kwargs)
-        sharded = universal_bound_id_oblivious(4, workers=2, vectorize=False, **kwargs)
-        vectorized = universal_bound_id_oblivious(4, vectorize=True, **kwargs)
+        serial = universal_bound_id_oblivious(4, **kwargs)
+        sharded = universal_bound_id_oblivious(4, workers=2, **kwargs)
+        # the pure-python oracle scan observes the same multiset
+        sketches = _new_population()
+        _scan_shard_python(
+            4, ("0", "1"), covers_and_pairs_for(4), 0, 2**4, None, sketches
+        )
         assert serial.population is not None
-        assert serial.population == sharded.population == vectorized.population
+        assert serial.population == sharded.population
+        assert serial.population == _population_state(*sketches)
         assert (
             population_summary(serial.population)["forced_error"]["count"] == 2**4
         )

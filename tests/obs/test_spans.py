@@ -286,7 +286,18 @@ class TestInstrumentedKernels:
         assert root.attrs == {"n": 5, "class_size": 32}
         assert [c.name for c in root.children] == [
             "exhaustive.precompute_pairs",
-            "exhaustive.enumerate",
+            "parallel.map",
+        ]
+        shards = root.children[1].children
+        assert [c.name for c in shards] == ["parallel.shard"] * 4
+        assert [[g.name for g in c.children] for c in shards] == [
+            ["exhaustive.enumerate"]
+        ] * 4
+        assert [c.children[0].attrs for c in shards] == [
+            {"start": 0, "stop": 8},
+            {"start": 8, "stop": 16},
+            {"start": 16, "stop": 24},
+            {"start": 24, "stop": 32},
         ]
 
     def test_linalg_and_matching_and_sampling_spans(self):
@@ -318,9 +329,13 @@ class TestInstrumentedKernels:
         assert matching.attrs["left"] == len(graph.left)
         sampling = rec.roots[3]
         assert [c.name for c in sampling.children] == [
-            "sampling.draw",
+            "sampling.draw_inputs",
+            "parallel.map",
             "sampling.reduce",
         ]
+        assert [
+            [g.name for g in c.children] for c in sampling.children[1].children
+        ] == [["sampling.draw"]] * 4
 
     def test_same_seed_same_shape(self):
         """Determinism: tree shape is a function of the computation only."""

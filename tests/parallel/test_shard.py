@@ -110,13 +110,15 @@ def test_split_budget_conserves_units(units, sizes):
     assert sum(allocations) == min(units, sum(sizes))
 
 
-def test_split_budget_surplus_cascades():
-    # 2 shards of size 10, 15 units: even split (8, 7) would strand a
-    # unit on the second shard's small size -- cascade fills instead.
+def test_split_budget_fills_earliest_shards_first():
+    # units cover the enumeration prefix: earlier shards fill up first,
+    # so K units reach exactly the first K units of work
     shards = split_budget(Budget(max_units=15), [10, 10])
-    assert [sb.max_units for sb in shards] == [8, 7]
+    assert [sb.max_units for sb in shards] == [10, 5]
     shards = split_budget(Budget(max_units=100), [3, 10])
     assert [sb.max_units for sb in shards] == [3, 10]
+    shards = split_budget(Budget(max_units=4), [3, 10, 2])
+    assert [sb.max_units for sb in shards] == [3, 1, 0]
 
 
 def test_split_budget_exhausted_parent_yields_zero_unit_shards():
@@ -132,6 +134,33 @@ def test_split_budget_exhausted_parent_yields_zero_unit_shards():
 
 
 def test_shard_budget_to_budget():
-    assert ShardBudget(max_units=None, wall_seconds=None).to_budget() is None
-    b = ShardBudget(max_units=5, wall_seconds=None).to_budget()
+    assert ShardBudget(max_units=None, deadline=None).to_budget() is None
+    b = ShardBudget(max_units=5, deadline=None).to_budget()
     assert b is not None and b.remaining_units() == 5
+
+
+class _Clock:
+    def __init__(self):
+        self.now = 1000.0
+
+    def __call__(self):
+        return self.now
+
+
+def test_sequential_shards_share_one_wall_deadline(monkeypatch):
+    clock = _Clock()
+    monkeypatch.setattr("repro.resilience.budget.time.monotonic", clock)
+    first, second = split_budget(Budget(wall_seconds=1.0), [10, 10])
+    assert first.deadline == second.deadline == 1001.0
+    first.to_budget()
+    clock.now += 0.6  # the first shard runs for 0.6 s
+    assert not second.exhausted()
+    assert second.to_budget().remaining_seconds() <= 0.4
+    clock.now += 0.5  # past the deadline: the second shard may not start
+    assert second.exhausted()
+
+
+def test_shard_budget_exhausted():
+    assert ShardBudget(max_units=0, deadline=None).exhausted()
+    assert not ShardBudget(max_units=1, deadline=None).exhausted()
+    assert not ShardBudget(max_units=None, deadline=None).exhausted()

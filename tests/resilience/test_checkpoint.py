@@ -97,7 +97,10 @@ class TestExhaustiveResume:
         assert exc_info.value.checkpoint_path == path
         assert exc_info.value.partial is not None
         stored = json.load(open(path))
-        assert stored["state"]["next_index"] == 200
+        # 729 assignments over four shards; 200 units fill the first
+        # shard (183) and the first 17 of the second
+        assert stored["state"]["shard_starts"] == [0, 183, 365, 547]
+        assert stored["state"]["positions"] == [183, 200, 365, 547]
         resumed = universal_bound_id_oblivious(6, resume=path)
         assert resumed == plain
 
@@ -116,7 +119,29 @@ class TestExhaustiveResume:
     def test_malformed_state_raises(self, tmp_path):
         path = str(tmp_path / "ck.json")
         write_checkpoint(
-            path, "exhaustive", {"n": 6, "alphabet": ["", "0", "1"]}, {"nonsense": 1}
+            path,
+            "exhaustive.sharded",
+            {"n": 6, "alphabet": ["", "0", "1"]},
+            {"nonsense": 1},
+        )
+        with pytest.raises(CheckpointError, match="malformed"):
+            universal_bound_id_oblivious(6, resume=path)
+
+    def test_old_serial_checkpoint_is_refused(self, tmp_path):
+        # the serial per-assignment checkpoint kind no longer exists; a
+        # resume must fail loudly instead of restarting from scratch
+        path = str(tmp_path / "ck.json")
+        write_checkpoint(
+            path,
+            "exhaustive",
+            {"n": 6, "alphabet": ["", "0", "1"]},
+            {
+                "next_index": 200,
+                "best": 0.25,
+                "best_assignment": ["", "", "", "", "", ""],
+                "enumerated": 200,
+                "fooled_total": 0,
+            },
         )
         with pytest.raises(CheckpointError):
             universal_bound_id_oblivious(6, resume=path)
@@ -141,11 +166,24 @@ class TestSamplingResume:
                 checkpoint_seconds=0.001,
             )
         assert exc_info.value.partial.samples == 60
-        # a fresh RNG: the checkpoint restores the stream position exactly
+        # a fresh RNG seeded like the original draws the same inputs
         resumed = estimate_protocol_information(
-            protocol, 5, 150, random.Random(999), resume=path
+            protocol, 5, 150, random.Random(7), resume=path
         )
         assert resumed == uninterrupted
+
+    def test_old_serial_checkpoint_is_refused(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        write_checkpoint(
+            path,
+            "sampling",
+            {"n": 5, "samples": 150},
+            {"samples_done": 60, "errors": 0, "counts": [], "rng_state": None},
+        )
+        with pytest.raises(CheckpointError):
+            estimate_protocol_information(
+                TrivialPartitionCompProtocol(5), 5, 150, random.Random(7), resume=path
+            )
 
     def test_resilient_path_matches_lean_numbers(self):
         protocol = TrivialPartitionCompProtocol(5)

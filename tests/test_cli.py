@@ -121,22 +121,25 @@ class TestWorkersFlag:
         assert main(["exhaustive", "--n", "4", "--json"]) == 0
         serial = json.loads(capsys.readouterr().out.strip())
         assert main(["exhaustive", "--n", "4", "--workers", "2",
-                     "--no-vectorize", "--json"]) == 0
+                     "--json"]) == 0
         parallel = json.loads(capsys.readouterr().out.strip())
         assert parallel == serial
+
+    def test_exhaustive_budgeted_partial_identical_across_workers(self, capsys):
+        # a unit budget scans the same assignment prefix at any --workers
+        outs = []
+        for w in ("1", "2"):
+            assert main(["exhaustive", "--n", "5", "--max-assignments", "100",
+                         "--workers", w, "--json"]) == 3
+            outs.append(json.loads(capsys.readouterr().out.strip()))
+        assert outs[0] == outs[1]
+        assert outs[0]["rows"][0][-1] == "partial (budget exhausted)"
 
     def test_exhaustive_workers_auto(self, capsys):
         # 0 = one process per CPU; still the same deterministic report
         assert main(["exhaustive", "--n", "4", "--workers", "0", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["rows"][0][-1] == "complete"
-
-    def test_exhaustive_vectorize_flag_identical(self, capsys):
-        pytest.importorskip("numpy")
-        assert main(["exhaustive", "--n", "4", "--json"]) == 0
-        serial = json.loads(capsys.readouterr().out.strip())
-        assert main(["exhaustive", "--n", "4", "--vectorize", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out.strip()) == serial
 
     def test_sampling_workers_identical_across_counts(self, capsys):
         # every workers>1 count shards the same plan: identical output
